@@ -2,8 +2,8 @@
 //! ([`TsjJoiner::self_join`]) — which since the lazy DAG executor runs
 //! its recorded stages with partition-level cross-stage overlap — must
 //! produce output *byte-identical* to eager stage-at-a-time execution
-//! ([`DatasetMode::Eager`]) and to the collect-based wrapper pipeline
-//! ([`TsjJoiner::self_join_collected`]) across real thread counts,
+//! ([`DatasetMode::Eager`], every stage collected at its call) on the
+//! FIFO pool, in process and unbounded, across real thread counts,
 //! shuffle partition counts, both transports, and bounded/unbounded
 //! shuffle memory — while its interior candidate-carrying stages move
 //! **zero** records across the driver boundary. A chaining or scheduling
@@ -66,9 +66,23 @@ fn chained_eager(cluster: &Cluster, corpus: &Corpus, t: f64) -> tsj::JoinOutput 
         .unwrap()
 }
 
+/// `cluster` forced to the reference configuration: every stage
+/// collected at its call ([`DatasetMode::Eager`]) on the FIFO pool.
+/// Callers pass an in-process, unbounded cluster.
+fn reference(cluster: &Cluster) -> Cluster {
+    cluster
+        .clone()
+        .with_dataset_mode(DatasetMode::Eager)
+        .with_scheduler(SchedulerConfig {
+            mode: SchedulerMode::Fifo,
+            ..SchedulerConfig::default()
+        })
+}
+
+/// The reference join's pairs (see [`reference`]).
 fn collected_pairs(cluster: &Cluster, corpus: &Corpus, t: f64) -> Vec<SimilarPair> {
-    TsjJoiner::new(cluster)
-        .self_join_collected(corpus, &config(t))
+    TsjJoiner::new(&reference(cluster))
+        .self_join(corpus, &config(t))
         .unwrap()
         .pairs
 }
@@ -204,9 +218,9 @@ proptest! {
     }
 
     /// The acceptance guarantee: lazy DAG execution (cross-stage
-    /// overlap), eager stage-at-a-time execution, and the collect-based
-    /// wrappers all produce *byte-identical* verified join output (ids
-    /// and distances) — across ≥3 real thread counts × ≥3 partition
+    /// overlap) and eager stage-at-a-time execution both produce
+    /// *byte-identical* verified join output (ids and distances) to the
+    /// eager FIFO reference — across ≥3 real thread counts × ≥3 partition
     /// counts × both transports × bounded/unbounded shuffles — and
     /// interior stages cross zero driver records in every configuration.
     #[test]
@@ -307,11 +321,13 @@ fn chained_report_accounts_for_the_driver_boundary() {
 
 /// Both dedup strategies and all three approximation schemes survive the
 /// chaining (exercising the group-overhead dataset stages, the
-/// SharedOnly graph without a union, and greedy verification).
+/// SharedOnly graph without a union, and greedy verification): each
+/// matches the eager FIFO reference.
 #[test]
 fn all_schemes_and_dedups_match_collected_chaining() {
     let w = workload(120, 0.3, 99);
     let corpus = Corpus::build(&w.strings, &NameTokenizer::default());
+    let reference_cluster = reference(&cluster_with(4, 0, 16, ShuffleConfig::unbounded()));
     for (scheme, dedup) in [
         (
             ApproximationScheme::FuzzyTokenMatching,
@@ -340,9 +356,11 @@ fn all_schemes_and_dedups_match_collected_chaining() {
             let cluster = cluster_with(4, 0, 16, shuffle);
             let joiner = TsjJoiner::new(&cluster);
             let chained = joiner.self_join(&corpus, &cfg).unwrap();
-            let collected = joiner.self_join_collected(&corpus, &cfg).unwrap();
+            let expected = TsjJoiner::new(&reference_cluster)
+                .self_join(&corpus, &cfg)
+                .unwrap();
             assert_eq!(
-                chained.pairs, collected.pairs,
+                chained.pairs, expected.pairs,
                 "scheme {scheme:?}, dedup {dedup:?}"
             );
             assert_driver_accounting(&chained.report, corpus.len() as u64);
@@ -351,12 +369,13 @@ fn all_schemes_and_dedups_match_collected_chaining() {
 }
 
 /// Bad configurations surface as `JoinError::Config` before any job runs
-/// — no panic, and both pipeline forms agree on the error.
+/// — no panic, and the eager FIFO reference reports the same error.
 #[test]
 fn invalid_configs_error_instead_of_panicking() {
     let corpus = Corpus::build(["a b", "a c"], &NameTokenizer::default());
     let cluster = cluster_with(2, 0, 4, ShuffleConfig::unbounded());
     let joiner = TsjJoiner::new(&cluster);
+    let reference_cluster = reference(&cluster);
     for bad in [
         TsjConfig {
             threshold: 0.9,
@@ -376,7 +395,12 @@ fn invalid_configs_error_instead_of_panicking() {
             matches!(err, tsj::JoinError::Config(_)),
             "expected a config error, got {err:?}"
         );
-        assert_eq!(err, joiner.self_join_collected(&corpus, &bad).unwrap_err());
+        assert_eq!(
+            err,
+            TsjJoiner::new(&reference_cluster)
+                .self_join(&corpus, &bad)
+                .unwrap_err()
+        );
     }
 }
 

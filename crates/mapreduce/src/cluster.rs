@@ -25,18 +25,16 @@ use crate::dag::{execute, Feed, MapSource, Recv};
 use crate::dataset::{DataPartition, DatasetMode};
 use crate::job::{Emitter, JobError, JobResult, JobStats, OutputSink, PhaseSim};
 use crate::merge::{merge_segments_capped, MergeEffort, Segment};
-use crate::pool::{
-    lock, panic_message, Pool, SchedStats, SchedulerConfig, SchedulerMode, TaskBody,
-};
-use crate::shuffle::{Combiner, PartitionedBuffer, ShuffleConfig, ShuffleRecord};
+use crate::pool::{lock, panic_message, Pool, SchedStats, SchedulerConfig, TaskBody};
+use crate::shuffle::{Combiner, PartitionedBuffer, ShuffleConfig};
 use crate::spill::{
     reserve_job_dir, reserve_job_spill_dir, RunMeta, RunReader, Spill, SpillDirGuard, SpillWriter,
 };
-use crate::transport::{InProcess, MapOutput, MultiProcess, Remote, ShuffleTransport, Transport};
+use crate::transport::{exchange_local, publish_task, MapOutput, Remote, TaskRuns, Transport};
 
 /// Spill/scratch/output file names must be distinct across a task's
-/// concurrent attempts ([`SchedulerMode::Speculative`] runs a primary and
-/// a speculative copy of the same task at once). Attempt `a` of task `t`
+/// concurrent attempts (speculative scheduling runs a primary and a
+/// speculative copy of the same task at once). Attempt `a` of task `t`
 /// uses spill task-id `t + a * ATTEMPT_STRIDE`; with at most two attempts
 /// this cannot collide with a real task index below the stride, and no
 /// stage has 2^20 map tasks (machine-capped).
@@ -95,6 +93,12 @@ pub(crate) enum StageFailure {
     Job(JobError),
 }
 
+impl From<JobError> for StageFailure {
+    fn from(e: JobError) -> Self {
+        StageFailure::Job(e)
+    }
+}
+
 /// A streamed stage's result: its stats, plus the driver-side output when
 /// the sink was [`StageSink::Driver`].
 pub(crate) struct StreamedResult<O> {
@@ -139,11 +143,12 @@ pub struct CostModel {
     pub spill_secs_per_byte: f64,
     /// Shuffle-transport cost per byte moved between map and reduce
     /// workers, divided across machines. Charged on
-    /// [`JobStats::transport_bytes`] — each serialized byte crosses the
-    /// exchange once — so the `MultiProcess` transport's serialization
-    /// volume has a visible simulated price the in-process handoff
-    /// doesn't pay, exactly as a real cluster's interconnect would. The
-    /// default models a ~1 Gb/s worker NIC of the paper's vintage.
+    /// [`JobStats::transport_bytes`] — each byte a map task publishes to
+    /// its exchange file crosses the exchange once — so a file
+    /// transport's serialization volume has a visible simulated price the
+    /// in-process handoff doesn't pay, exactly as a real cluster's
+    /// interconnect would. The default models a ~1 Gb/s worker NIC of the
+    /// paper's vintage.
     pub transport_secs_per_byte: f64,
     /// Multiplier from measured local CPU-seconds to simulated
     /// machine-seconds (models the paper's 0.5-CPU machines being slower
@@ -583,14 +588,8 @@ impl Cluster {
             workers,
             self.scheduler.clone(),
             vec![Box::new(move |pool: &Pool<'_>| {
-                let res = catch_unwind(AssertUnwindSafe(|| {
+                let res = catch_panic("stage", || {
                     run_stage_streamed(cluster, spec, 0, feed, StageSink::Driver, pool)
-                }))
-                .unwrap_or_else(|p| {
-                    Err(StageFailure::Job(JobError::WorkerPanic {
-                        phase: "stage",
-                        message: panic_message(p),
-                    }))
                 });
                 *lock(&cell) = Some(res);
             })],
@@ -630,16 +629,12 @@ struct MapTaskOut<K, V> {
     shuffled: u64,
     /// High-water mark of in-memory buffered records.
     peak_buffered: u64,
-    /// Partition-indexed in-memory output buffers (drained to the
-    /// task's exchange file instead when `published` is set).
-    parts: Vec<Vec<ShuffleRecord<K, V>>>,
-    /// Spill file + run directory, if this task spilled (kept for stats
-    /// accounting even when published — the runs were raw-copied into
-    /// the exchange file).
-    spill: Option<crate::shuffle::TaskSpill>,
-    /// Run-server key this task's output was published under (remote
-    /// transport only).
-    published: Option<u64>,
+    /// Records, bytes and runs the task spilled.
+    spilled: u64,
+    spill_bytes: u64,
+    spill_runs: u64,
+    /// What the task hands the exchange.
+    output: MapOutput<K, V>,
     counters: HashMap<&'static str, u64>,
 }
 
@@ -744,6 +739,57 @@ impl<T> Drop for WaveTicket<T> {
     }
 }
 
+/// A task's first-result-wins cell: of all attempts of one task, only the
+/// first to finish takes the wave ticket (booking a speculative win when
+/// it is a copy); a later attempt finds the cell empty and its output is
+/// dropped on the floor.
+struct FirstResult<T> {
+    ticket: Mutex<Option<WaveTicket<T>>>,
+    sched: Arc<SchedStats>,
+}
+
+impl<T> FirstResult<T> {
+    fn new(ticket: WaveTicket<T>, sched: Arc<SchedStats>) -> Self {
+        Self {
+            ticket: Mutex::new(Some(ticket)),
+            sched,
+        }
+    }
+
+    /// Reports `attempt`'s result if it finished first; only then does
+    /// `deliver` run on its output, before the ticket completes.
+    fn complete<R>(
+        &self,
+        attempt: usize,
+        result: Result<R, JobError>,
+        deliver: impl FnOnce(R) -> T,
+    ) {
+        let won = lock(&self.ticket).take();
+        if let Some(ticket) = won {
+            if attempt > 0 {
+                self.sched.speculative_won.fetch_add(1, Ordering::Relaxed);
+            }
+            ticket.complete(result.map(deliver));
+        }
+    }
+}
+
+/// Runs `f`, turning a panic into a structured
+/// [`JobError::WorkerPanic`] of `phase`: a panicking task or stage fails
+/// its job, never the process.
+pub(crate) fn catch_panic<T, E: From<JobError>>(
+    phase: &'static str,
+    f: impl FnOnce() -> Result<T, E>,
+) -> Result<T, E> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|p| {
+        Err(JobError::WorkerPanic {
+            phase,
+            message: panic_message(p),
+        }
+        .into())
+    })
+}
+
 /// Blocks until `submitted` tasks have recorded, then returns the sorted
 /// results or the lowest-key error.
 fn wave_barrier<T>(
@@ -791,13 +837,12 @@ where
     let spec = Arc::new(spec);
 
     // Scheduler observability for this stage, shared by every submitted
-    // task; folded into the stage's JobStats at the end. Under
-    // [`SchedulerMode::Speculative`] tasks are submitted as replayable
-    // closures with a first-result-wins ticket cell: whichever attempt
-    // finishes first takes the ticket (and, for reduce tasks, the right to
-    // deliver the partition downstream); the loser's output is dropped.
+    // task; folded into the stage's JobStats at the end. Every task
+    // reports through a first-result-wins cell: under
+    // `SchedulerMode::Speculative` whichever attempt finishes first
+    // takes the ticket (and, for reduce tasks, the right to deliver the
+    // partition downstream); the loser's output is dropped.
     let sched_stats = Arc::new(SchedStats::default());
-    let speculative = pool.scheduler().mode == SchedulerMode::Speculative;
     // Injected straggler (tests/benchmarks): this stage's map task 0
     // sleeps on its *primary* attempt only — simulating a slow node, the
     // only slowness speculation can beat, since a re-run of a
@@ -822,24 +867,27 @@ where
         .spill_threshold
         .map(|_| Arc::new(SpillDirGuard(reserve_job_spill_dir(&dir_base))));
 
+    // File transports: every map task publishes its output into this
+    // job's exchange directory (created lazily by the first task file).
+    // Each map task holds the guard too, so the directory outlives any
+    // speculative attempt still writing after the stage has moved on.
+    let exchange_dir: Option<Arc<SpillDirGuard>> = match shuffle.transport {
+        Transport::InProcess => None,
+        Transport::MultiProcess | Transport::Remote => Some(Arc::new(SpillDirGuard(
+            reserve_job_dir(&dir_base, "tsj-exchange"),
+        ))),
+    };
+
     // Remote transport: this stage's run server must exist *before* the
-    // map wave, because map tasks publish their exchange runs to it as
-    // they finish (overlapping the wave). Shared with every map task; the
-    // exchange-dir guard it holds keeps the directory alive for any
-    // speculative attempt still writing after the stage moves on.
-    let remote: Option<Arc<Remote>> = match shuffle.transport {
-        Transport::Remote => Some(Arc::new(
-            Remote::start(
-                reserve_job_dir(&dir_base, "tsj-exchange"),
-                shuffle.net_fault,
-            )
-            .map_err(|e| {
-                StageFailure::Job(JobError::Transport {
-                    message: format!("starting the run server: {e}"),
-                })
+    // map wave, because map tasks register their published runs with it
+    // as they finish (overlapping the wave).
+    let remote: Option<Arc<Remote>> = match (&exchange_dir, shuffle.transport) {
+        (Some(dir), Transport::Remote) => Some(Arc::new(
+            Remote::start(dir.0.clone(), shuffle.net_fault).map_err(|e| JobError::Transport {
+                message: format!("starting the run server: {e}"),
             })?,
         )),
-        Transport::InProcess | Transport::MultiProcess => None,
+        _ => None,
     };
 
     // ---- Map wave (streaming) -----------------------------------------
@@ -865,78 +913,42 @@ where
                 let spec = Arc::clone(&spec);
                 let shuffle = Arc::clone(&shuffle);
                 let spill_dir = spill_dir.clone();
+                let exchange_dir = exchange_dir.clone();
                 let remote = remote.clone();
-                let ticket = WaveTicket::new(Arc::clone(&map_gather), ordinal);
-                let body = if speculative {
-                    // Map sources read-share cleanly (slices, in-memory
-                    // partitions by reference, positional spill reads), so
-                    // every map task is replayable: `attempt` only picks
-                    // distinct spill file names and skips the injected
-                    // straggle on the speculative copy.
-                    let source = Arc::new(source);
-                    let ticket = Arc::new(Mutex::new(Some(ticket)));
-                    let sched = Arc::clone(&sched_stats);
-                    TaskBody::Replayable(Arc::new(move |attempt| {
-                        if attempt == 0 && task == 0 {
-                            if let Some(us) = straggle_us {
-                                std::thread::sleep(Duration::from_micros(us));
-                            }
+                let first = FirstResult::new(
+                    WaveTicket::new(Arc::clone(&map_gather), ordinal),
+                    Arc::clone(&sched_stats),
+                );
+                // Map sources read-share cleanly (slices, in-memory
+                // partitions by reference, positional spill reads), so
+                // every map task is replayable: `attempt` only picks
+                // distinct file names. Outside speculative mode the pool
+                // runs attempt 0 exactly once.
+                let body = TaskBody::Replayable(Arc::new(move |attempt| {
+                    // The injection fires in every mode (a straggling node
+                    // doesn't care about the scheduler) — which is what
+                    // lets benchmarks compare a straggled FIFO baseline
+                    // against speculation on equal footing. The
+                    // speculative copy runs "on a healthy node".
+                    if attempt == 0 && task == 0 {
+                        if let Some(us) = straggle_us {
+                            std::thread::sleep(Duration::from_micros(us));
                         }
-                        let result = catch_unwind(AssertUnwindSafe(|| {
-                            run_map_task(
-                                &spec,
-                                &shuffle,
-                                spill_dir.as_deref(),
-                                remote.as_deref(),
-                                partitions,
-                                task + attempt * ATTEMPT_STRIDE,
-                                &source,
-                            )
-                        }))
-                        .unwrap_or_else(|p| {
-                            Err(JobError::WorkerPanic {
-                                phase: "map",
-                                message: panic_message(p),
-                            })
-                        });
-                        if let Some(ticket) = lock(&ticket).take() {
-                            if attempt > 0 {
-                                sched.speculative_won.fetch_add(1, Ordering::Relaxed);
-                            }
-                            ticket.complete(result);
-                        }
-                    }))
-                } else {
-                    TaskBody::Once(Box::new(move || {
-                        // The injection fires in every mode (a straggling
-                        // node doesn't care about the scheduler) — which is
-                        // what lets benchmarks compare a straggled FIFO
-                        // baseline against speculation on equal footing.
-                        if task == 0 {
-                            if let Some(us) = straggle_us {
-                                std::thread::sleep(Duration::from_micros(us));
-                            }
-                        }
-                        let result = catch_unwind(AssertUnwindSafe(|| {
-                            run_map_task(
-                                &spec,
-                                &shuffle,
-                                spill_dir.as_deref(),
-                                remote.as_deref(),
-                                partitions,
-                                task,
-                                &source,
-                            )
-                        }))
-                        .unwrap_or_else(|p| {
-                            Err(JobError::WorkerPanic {
-                                phase: "map",
-                                message: panic_message(p),
-                            })
-                        });
-                        ticket.complete(result);
-                    }))
-                };
+                    }
+                    let result = catch_panic("map", || {
+                        run_map_task(
+                            &spec,
+                            &shuffle,
+                            spill_dir.as_deref(),
+                            exchange_dir.as_deref().map(|guard| guard.0.as_path()),
+                            remote.as_deref(),
+                            partitions,
+                            task + attempt * ATTEMPT_STRIDE,
+                            &source,
+                        )
+                    });
+                    first.complete(attempt, result, |out| out);
+                }));
                 pool.submit(body, priority, Some(Arc::clone(&sched_stats)));
             }
             Recv::Closed { failed } => break failed,
@@ -948,7 +960,7 @@ where
         return Err(StageFailure::Upstream);
     }
     let wall_start = wall_start.unwrap_or_else(Instant::now);
-    let map_tasks = wave_barrier(&map_gather, submitted).map_err(StageFailure::Job)?;
+    let map_tasks = wave_barrier(&map_gather, submitted)?;
     let num_tasks = submitted;
     let driver_in_records = input.driver_in();
     let input_records: u64 = map_tasks.iter().map(|t| t.input).sum();
@@ -963,10 +975,11 @@ where
     // how each partition's per-task segments — spilled sorted runs
     // first, then the task's in-memory leftover, in task (= ordinal)
     // order — reach the reduce side is the transport's job (in-process
-    // handoff, or serialization into per-partition exchange files;
-    // see `crate::transport`). Cost is charged on the post-combine
-    // volume, plus spill I/O on the spilled bytes (written once, read
-    // back once), plus transport time on the exchanged bytes.
+    // handoff, the task files the map wave published, or a fetch of
+    // those over the run server; see `crate::transport`). Cost is
+    // charged on the post-combine volume, plus spill I/O on the spilled
+    // bytes (written once, read back once), plus transport time on the
+    // exchanged bytes.
     let mut counters: HashMap<&'static str, u64> = HashMap::new();
     let mut map_output_records = 0u64;
     let mut shuffle_records = 0u64;
@@ -982,45 +995,26 @@ where
         for (k, v) in &task.counters {
             *counters.entry(k).or_insert(0) += v;
         }
-        if let Some(spill) = &task.spill {
-            spilled_records += spill.records;
-            spill_bytes += spill.bytes;
-            spill_runs += spill.runs.iter().map(|runs| runs.len() as u64).sum::<u64>();
-        }
-        outputs.push(MapOutput::new(task.parts, task.spill).with_published(task.published));
+        spilled_records += task.spilled;
+        spill_bytes += task.spill_bytes;
+        spill_runs += task.spill_runs;
+        outputs.push(task.output);
     }
-    let transport = shuffle.transport;
-    let exchange = match (transport, &remote) {
-        (Transport::InProcess, _) => InProcess.exchange(outputs, partitions),
-        (Transport::MultiProcess, _) => {
-            MultiProcess::new(reserve_job_dir(&dir_base, "tsj-exchange"))
-                .exchange(outputs, partitions)
-        }
-        (Transport::Remote, Some(remote)) => {
+    let exchange = match &remote {
+        Some(remote) => {
             let exchange = remote.exchange(outputs, partitions);
             // Everything is fetched (or the exchange failed); either way
             // nothing fetches after this — stop serving.
             remote.stop();
-            exchange
+            exchange.map_err(|e| JobError::Transport {
+                message: e.to_string(),
+            })?
         }
-        // `remote` is Some exactly when the transport is Remote (set a
-        // few lines up); a structured error beats a panic in the data
-        // plane if that invariant ever breaks.
-        (Transport::Remote, None) => Err(std::io::Error::other(
-            "remote transport configured but no run server was started",
-        )),
-    }
-    .map_err(|e| {
-        StageFailure::Job(JobError::Transport {
-            message: e.to_string(),
-        })
-    })?;
+        None => exchange_local(outputs, partitions),
+    };
     let transport_bytes = exchange.bytes_moved;
     let fetch_stats = exchange.fetch;
     let partition_segments = exchange.partition_segments;
-    // The exchange directory (if any) must outlive the reduce phase,
-    // which streams the partition files it holds.
-    let exchange_guard = exchange.guard;
     let shuffle_secs = cost.shuffle_secs_per_record * shuffle_records as f64 / machines as f64;
     let spill_secs = cost.spill_secs_per_byte * 2.0 * spill_bytes as f64 / machines as f64;
     let transport_secs = cost.transport_secs_per_byte * transport_bytes as f64 / machines as f64;
@@ -1048,15 +1042,15 @@ where
     };
 
     // Scratch base for fan-in-capped hierarchical merges: the job's
-    // exchange dir (multi-process) or spill dir (in-process spilling)
+    // exchange dir (file transports) or spill dir (in-process spilling)
     // — whichever exists is also where every spilled segment lives,
     // and its guard already handles cleanup. Purely in-memory
     // partitions never merge, so needing scratch implies one exists.
     let merge_scratch: Option<PathBuf> = shuffle.merge_fan_in.and_then(|_| {
-        exchange_guard
+        exchange_dir
             .as_ref()
+            .or(spill_dir.as_ref())
             .map(|guard| guard.0.clone())
-            .or_else(|| spill_dir.as_ref().map(|guard| guard.0.clone()))
     });
 
     let reduce_gather = WaveGather::<ReduceTaskOut<O>>::cell();
@@ -1072,109 +1066,66 @@ where
         let stage_out_dir = stage_out_dir.clone();
         let merge_scratch = merge_scratch.clone();
         let feed_sink = feed_sink.clone();
-        let ticket = WaveTicket::new(Arc::clone(&reduce_gather), task as u64);
+        let first = FirstResult::new(
+            WaveTicket::new(Arc::clone(&reduce_gather), task as u64),
+            Arc::clone(&sched_stats),
+        );
+        // One attempt: reduce the partition, and if this attempt finished
+        // first, deliver the partition downstream immediately — the
+        // moment that makes the next stage's map task ready.
+        let attempt_fn = move |attempt: usize, segments: Vec<Segment<K, V>>| {
+            let result = catch_panic("reduce", || {
+                run_reduce_task(
+                    &spec,
+                    &shuffle,
+                    feed_sink.is_some(),
+                    stage_out_dir.as_ref().map(|g| g.0.as_path()),
+                    merge_scratch.as_deref(),
+                    machines,
+                    partition,
+                    attempt,
+                    segments,
+                )
+            });
+            first.complete(attempt, result, |(out, part)| {
+                if let (Some((feed, base)), Some(part)) = (&feed_sink, part) {
+                    feed.push(base | task as u64, MapSource::Part(part));
+                }
+                out
+            });
+        };
         // A reduce task is replayable only when every segment is a spilled
         // run: runs are re-readable (positional reads over shared files),
         // so each attempt can rebuild its own segment set, whereas
         // in-memory segments are consumed by grouping and cannot feed two
         // attempts without `K: Clone`/`V: Clone` bounds the engine doesn't
         // have.
-        let spilled_runs: Vec<(Arc<File>, RunMeta)> = if speculative {
-            segments
-                .iter()
+        let body = if segments.iter().all(Segment::is_spilled) {
+            let runs: Vec<(Arc<File>, RunMeta)> = segments
+                .into_iter()
                 .filter_map(|seg| match seg {
-                    Segment::Spilled { file, meta } => Some((Arc::clone(file), *meta)),
+                    Segment::Spilled { file, meta } => Some((file, meta)),
                     Segment::Mem(_) => None,
                 })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let body = if speculative && spilled_runs.len() == segments.len() {
-            drop(segments);
-            let ticket = Arc::new(Mutex::new(Some(ticket)));
-            let sched = Arc::clone(&sched_stats);
+                .collect();
             TaskBody::Replayable(Arc::new(move |attempt| {
-                let segments: Vec<Segment<K, V>> = spilled_runs
+                let segments = runs
                     .iter()
                     .map(|(file, meta)| Segment::Spilled {
                         file: Arc::clone(file),
                         meta: *meta,
                     })
                     .collect();
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    run_reduce_task(
-                        &spec,
-                        &shuffle,
-                        feed_sink.is_some(),
-                        stage_out_dir.as_ref().map(|g| g.0.as_path()),
-                        merge_scratch.as_deref(),
-                        machines,
-                        partition,
-                        attempt,
-                        segments,
-                    )
-                }))
-                .unwrap_or_else(|p| {
-                    Err(JobError::WorkerPanic {
-                        phase: "reduce",
-                        message: panic_message(p),
-                    })
-                });
-                // First result wins: only the ticket holder delivers the
-                // partition downstream and reports — the loser's output
-                // (and its run file, if any) is dropped on the floor.
-                if let Some(ticket) = lock(&ticket).take() {
-                    if attempt > 0 {
-                        sched.speculative_won.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let result = result.map(|(out, part)| {
-                        if let (Some((feed, base)), Some(part)) = (&feed_sink, part) {
-                            feed.push(base | task as u64, MapSource::Part(part));
-                        }
-                        out
-                    });
-                    ticket.complete(result);
-                }
+                attempt_fn(attempt, segments);
             }))
         } else {
-            TaskBody::Once(Box::new(move || {
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    run_reduce_task(
-                        &spec,
-                        &shuffle,
-                        feed_sink.is_some(),
-                        stage_out_dir.as_ref().map(|g| g.0.as_path()),
-                        merge_scratch.as_deref(),
-                        machines,
-                        partition,
-                        0,
-                        segments,
-                    )
-                }))
-                .unwrap_or_else(|p| {
-                    Err(JobError::WorkerPanic {
-                        phase: "reduce",
-                        message: panic_message(p),
-                    })
-                });
-                let result = result.map(|(out, part)| {
-                    // Deliver the finished partition downstream immediately
-                    // — the moment that makes the next stage's map task
-                    // ready.
-                    if let (Some((feed, base)), Some(part)) = (&feed_sink, part) {
-                        feed.push(base | task as u64, MapSource::Part(part));
-                    }
-                    out
-                });
-                ticket.complete(result);
-            }))
+            TaskBody::Once(Box::new(move || attempt_fn(0, segments)))
         };
         pool.submit(body, priority, Some(Arc::clone(&sched_stats)));
     }
-    let reduce_tasks = wave_barrier(&reduce_gather, reduce_submitted).map_err(StageFailure::Job)?;
+    let reduce_tasks = wave_barrier(&reduce_gather, reduce_submitted)?;
     // Reduce has drained every exchange file; the directory can go.
-    drop(exchange_guard);
+    drop(exchange_dir);
 
     // Deterministic per-partition loads: each partition is charged its
     // declared work at the job-wide measured rate, plus the per-group
@@ -1229,7 +1180,7 @@ where
         spilled_records,
         spill_bytes,
         spill_runs,
-        transport: transport.name(),
+        transport: shuffle.transport.name(),
         transport_bytes,
         merge_passes,
         merge_scratch_bytes,
@@ -1262,14 +1213,17 @@ where
 }
 
 /// One map task: streams its source through `map`, with periodic combine
-/// and spill under a bounded shuffle. Runs on a pool worker. Takes its
-/// source by reference so a speculative attempt can re-read it; `task`
-/// is already attempt-distinct (see [`ATTEMPT_STRIDE`]) so concurrent
-/// attempts never collide on a spill file name.
+/// and spill under a bounded shuffle, then — under a file transport —
+/// publishes its output into `exchange_dir`. Runs on a pool worker.
+/// Takes its source by reference so a speculative attempt can re-read
+/// it; `task` is already attempt-distinct (see [`ATTEMPT_STRIDE`]) so
+/// concurrent attempts never collide on a spill or exchange file name.
+#[allow(clippy::too_many_arguments)]
 fn run_map_task<'f, I, K, V, O>(
     spec: &StageSpec<'f, I, K, V, O>,
     shuffle: &ShuffleConfig,
     spill_dir: Option<&SpillDirGuard>,
+    exchange_dir: Option<&Path>,
     remote: Option<&Remote>,
     partitions: usize,
     task: usize,
@@ -1357,23 +1311,43 @@ where
         None => emitter.buffer.len() as u64,
     };
     let spill = emitter.buffer.take_spill();
-    let spilled = spill.as_ref().map_or(0, |s| s.records);
+    let (spilled, spill_bytes, spill_runs) = spill.as_ref().map_or((0, 0, 0), |s| {
+        let runs = s.runs.iter().map(|runs| runs.len() as u64).sum();
+        (s.records, s.bytes, runs)
+    });
     let peak_buffered = emitter.buffer.peak_buffered() as u64;
-    // Remote transport: serialize this task's output into its own
-    // exchange file and register it with the stage's run server *inside*
-    // the timed task — runs are servable the moment the task finishes,
-    // the writing overlaps the map wave, and the in-memory buffers are
-    // freed here instead of being held until the exchange.
-    let (parts, published) = match remote {
-        Some(remote) => {
-            remote
-                .publish_task(task as u64, emitter.buffer.into_parts(), spill.as_ref())
-                .map_err(|e| JobError::Transport {
+    let spill = spill.map(|s| TaskRuns {
+        file: Some(s.file),
+        parts: s.runs,
+    });
+    let parts = emitter.buffer.into_parts();
+    // File transports: publish this task's output into its own exchange
+    // file (and register it with the stage's run server, if remote)
+    // *inside* the timed task — the writing overlaps the map wave, and
+    // the in-memory buffers are freed here instead of being held until
+    // the exchange.
+    let output = match exchange_dir {
+        Some(dir) => {
+            let task = task as u64;
+            let runs = publish_task(dir, task, parts, spill.as_ref()).map_err(|e| {
+                JobError::Transport {
                     message: format!("publishing map task {task} runs: {e}"),
-                })?;
-            (Vec::new(), Some(task as u64))
+                }
+            })?;
+            if let Some(remote) = remote {
+                remote.register(task, &runs);
+            }
+            MapOutput {
+                runs: Some(runs),
+                parts: Vec::new(),
+                published: Some(task),
+            }
         }
-        None => (emitter.buffer.into_parts(), None),
+        None => MapOutput {
+            runs: spill,
+            parts,
+            published: None,
+        },
     };
     let cpu_secs = start.elapsed().as_secs_f64();
     let work = task_input + emitted + combine_work + spilled + emitter.work_units;
@@ -1384,9 +1358,10 @@ where
         emitted,
         shuffled: shuffled_in_mem + spilled,
         peak_buffered,
-        parts,
-        spill,
-        published,
+        spilled,
+        spill_bytes,
+        spill_runs,
+        output,
         counters: emitter.counters,
     })
 }

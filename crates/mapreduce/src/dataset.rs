@@ -92,17 +92,16 @@
 
 use std::fs::File;
 use std::hash::Hash;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use crate::cluster::{
-    run_stage_streamed, Cluster, CombineFn, MapFn, ReduceFn, StageFailure, StageSink, StageSpec,
+    catch_panic, run_stage_streamed, Cluster, CombineFn, MapFn, ReduceFn, StageFailure, StageSink,
+    StageSpec,
 };
 use crate::dag::analyze::{analyze_plan, partition_skew, NodeKind, PlanCheck, StageInfo};
 use crate::dag::{self, Builder, Feed, MapSource, StatsSlot};
 use crate::hash::fingerprint64;
 use crate::job::{Emitter, JobError, OutputSink};
-use crate::pool::panic_message;
 use crate::report::SimReport;
 use crate::shuffle::Combiner;
 use crate::spill::{RunMeta, RunReader, Spill, SpillDirGuard, SpillError};
@@ -356,7 +355,7 @@ where
         // walks — is complete by now.)
         let priority = b.depth_of(node);
         b.thunks.push(Box::new(move |pool| {
-            let result = catch_unwind(AssertUnwindSafe(|| {
+            let result = catch_panic("stage", || {
                 run_stage_streamed(
                     cluster,
                     spec,
@@ -368,12 +367,6 @@ where
                     },
                     pool,
                 )
-            }))
-            .unwrap_or_else(|p| {
-                Err(StageFailure::Job(JobError::WorkerPanic {
-                    phase: "stage",
-                    message: panic_message(p),
-                }))
             });
             let ok = match result {
                 Ok(r) => {

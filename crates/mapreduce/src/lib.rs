@@ -81,6 +81,6 @@ pub use shuffle::{
     combine_records, Combiner, Count, Dedup, Min, PartitionedBuffer, ShuffleConfig, Sum,
 };
 pub use spill::{read_varint, write_varint, RunMeta, RunReader, Spill, SpillError, SpillWriter};
-pub use transport::{InProcess, MultiProcess, Remote, ShuffleTransport, Transport};
+pub use transport::Transport;
 // The network-shuffle knobs callers configure through [`ShuffleConfig`].
 pub use tsj_netshuffle::{FaultConfig, FetchStats};

@@ -3,8 +3,8 @@
 //!
 //! A reduce partition's input arrives as *segments*: the in-memory buffers
 //! of map tasks that never spilled, plus zero or more sorted runs in the
-//! tasks' spill files or — under the `MultiProcess` transport
-//! ([`crate::transport`]) — in per-partition exchange files (see
+//! tasks' spill files or — under a file transport ([`crate::transport`])
+//! — in the per-task exchange files the map tasks published (see
 //! [`crate::spill`]). When any segment is spilled, the partition is
 //! reduced by merging all segments in key-fingerprint order — the
 //! external-sort discipline real MapReduce reducers use — so the partition

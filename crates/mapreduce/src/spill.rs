@@ -8,10 +8,10 @@
 //! the task's spill file as one *run* — a sorted, self-delimiting sequence
 //! of records. The reduce phase later streams every run back through a
 //! [`RunReader`] and k-way-merges them (see [`crate::merge`]), so neither
-//! side ever materializes a full partition in memory. The `MultiProcess`
-//! shuffle transport ships every map task's post-combine output between
-//! workers as exactly these sorted runs, written to per-partition exchange
-//! files; [`SpillWriter`] and [`RunReader`] are public so external tools
+//! side ever materializes a full partition in memory. The file shuffle
+//! transports ship every map task's post-combine output between workers
+//! as exactly these sorted runs, published to one exchange file per map
+//! task; [`SpillWriter`] and [`RunReader`] are public so external tools
 //! (and future remote workers) can produce and consume the exchange
 //! format.
 //!
@@ -331,9 +331,9 @@ pub struct RunMeta {
 /// Append-only writer of sorted-run files in the spill/exchange wire
 /// format: one length-prefixed frame per record (see the module docs).
 ///
-/// Used by memory-bounded mappers for task spill files, by the
-/// `MultiProcess` shuffle transport for per-partition exchange files, and
-/// by the reduce-side hierarchical merge for intermediate runs. Public so
+/// Used by memory-bounded mappers for task spill files, by the file
+/// shuffle transports for per-task exchange files, and by the
+/// reduce-side hierarchical merge for intermediate runs. Public so
 /// external processes can produce wire-compatible run files.
 #[derive(Debug)]
 pub struct SpillWriter {

@@ -4,56 +4,61 @@
 //! ([`crate::shuffle`]); the transport decides how a partition's segments
 //! travel from the map side to the reduce side:
 //!
-//! * [`InProcess`] (the default) — the original segment handoff: each map
-//!   task's in-memory partition buffers and spill-run locations are moved
-//!   to the reduce tasks by reference, within one address space. Nothing
-//!   is serialized beyond what the mapper itself spilled; `bytes_moved`
-//!   is 0.
-//! * [`MultiProcess`] — a real exchange over the spill-run wire format
-//!   (see [`crate::spill`]): every map task's post-combine output — the
-//!   in-memory leftover *and* any runs the task spilled — is serialized
-//!   through the [`Spill`] codec into **per-partition sorted-run files**
-//!   under a shared exchange directory, exactly as a cluster of separate
-//!   worker processes would publish map output for reducers to fetch.
-//!   Reduce tasks then consume the exchange runs through the ordinary
-//!   k-way sort-merge ([`crate::merge`]) — reduce never special-cases the
-//!   transport, because an exchange run is indistinguishable from a spill
-//!   run. `bytes_moved` is the full serialized exchange volume, charged by
+//! * [`Transport::InProcess`] (the default) — the segment handoff: each
+//!   map task's in-memory partition buffers and spill-run locations are
+//!   moved to the reduce tasks by reference, within one address space.
+//!   Nothing is serialized beyond what the mapper itself spilled;
+//!   `bytes_moved` is 0.
+//! * [`Transport::MultiProcess`] — a real file exchange over the spill-run
+//!   wire format (see [`crate::spill`]): every map task *publishes* its
+//!   post-combine output — the runs it spilled, then its in-memory
+//!   leftover — into its own exchange file, inside the timed map task,
+//!   exactly as a separate worker process would publish map output for
+//!   reducers to fetch. After the map barrier the exchange only walks the
+//!   published run directories: reduce tasks read the task files in place
+//!   through the ordinary k-way sort-merge ([`crate::merge`]). Reduce
+//!   never special-cases the transport, because an exchange run is
+//!   indistinguishable from a spill run. `bytes_moved` is the published
+//!   volume, charged by
 //!   [`CostModel::transport_secs_per_byte`](crate::cluster::CostModel).
+//! * [`Transport::Remote`] — the same per-task publish, registered with a
+//!   per-stage run server; the reduce side fetches the runs back over a
+//!   socket (see `Remote`).
 //!
 //! # Determinism and equivalence
 //!
-//! For each partition, `MultiProcess` writes runs in map-task order, a
-//! task's spilled runs before its in-memory leftover — the same segment
-//! order `InProcess` hands to the merge. Since the merge resolves
-//! equal-fingerprint ties by segment index, the merged record order (and
-//! therefore grouping and job output) is identical across transports
-//! whenever the reduce side merges. The remaining difference — purely
-//! in-memory partitions reduce in first-occurrence order under
-//! `InProcess` but in fingerprint order under `MultiProcess` (everything
-//! is a sorted run there) — is the same deterministic reordering the
-//! spill path already introduces, and the pipeline output is
-//! property-tested byte-identical across transports in
+//! Every transport hands partition `p` its segments in map-task order, a
+//! task's spilled runs before its in-memory leftover. Since the merge
+//! resolves equal-fingerprint ties by segment index, the merged record
+//! order (and therefore grouping and job output) is identical across
+//! transports whenever the reduce side merges. The remaining difference —
+//! purely in-memory partitions reduce in first-occurrence order in
+//! process but in fingerprint order over a file exchange (everything is a
+//! sorted run there) — is the same deterministic reordering the spill
+//! path already introduces, and the pipeline output is property-tested
+//! byte-identical across transports in
 //! `crates/core/tests/transport_equivalence.rs`.
 //!
 //! # Wire format
 //!
-//! One exchange file per non-empty partition, named `part<p>.runs`,
-//! holding that partition's runs back-to-back in the [`SpillWriter`]
-//! v2 frame format (see [`crate::spill`]): per record, a LEB128 varint
-//! payload length, a varint fingerprint delta (`fp XOR
-//! fingerprint64(key)` — one zero byte for every runtime-emitted
-//! record), then the `Spill`-encoded key and value. For the dominant
-//! small-payload stages this is ≈2 B of framing per record where the v1
-//! fixed `[u32 len][u64 fp]` frame spent 12. A future genuinely-remote
-//! worker needs only the `(offset, bytes, records)` run directory — the
-//! same [`RunMeta`] the in-process reduce uses — to stream its
-//! partition over any byte transport.
+//! One exchange file per map task that produced output, named
+//! `task<N>.xruns`, holding the task's runs back-to-back, partition by
+//! partition, in the [`SpillWriter`] v2 frame format (see
+//! [`crate::spill`]): per record, a LEB128 varint payload length, a varint
+//! fingerprint delta (`fp XOR fingerprint64(key)` — one zero byte for
+//! every runtime-emitted record), then the `Spill`-encoded key and value.
+//! For the dominant small-payload stages this is ≈2 B of framing per
+//! record where the v1 fixed `[u32 len][u64 fp]` frame spent 12. Next to
+//! the file the task publishes its run directory: per partition, each
+//! run's `(offset, bytes, records)` [`RunMeta`]. That directory is all a
+//! local reducer needs to stream its partition out of the file, and all a
+//! remote one needs to ask for it by byte range.
 //!
 //! [`RunMeta`]: crate::spill::RunMeta
 
+use std::fs::File;
 use std::hash::Hash;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -63,8 +68,8 @@ use tsj_netshuffle::{
 };
 
 use crate::merge::Segment;
-use crate::shuffle::{ShuffleRecord, TaskSpill};
-use crate::spill::{RunMeta, Spill, SpillDirGuard, SpillWriter};
+use crate::shuffle::ShuffleRecord;
+use crate::spill::{RunMeta, Spill, SpillWriter};
 
 #[cfg(test)]
 use crate::spill::RunReader;
@@ -115,228 +120,146 @@ impl Transport {
     }
 }
 
-/// One map task's complete post-combine output, as handed to the
-/// transport: partition-indexed in-memory buffers plus the task's spill
-/// file (if it spilled). Constructed by the runtime only.
+/// A file of sorted runs plus its run directory: per partition, the
+/// location of each run in the file, in order. Describes both a mapper's
+/// spill file and a published exchange file.
 #[derive(Debug)]
-pub struct MapOutput<K, V> {
-    pub(crate) parts: Vec<Vec<ShuffleRecord<K, V>>>,
-    pub(crate) spill: Option<TaskSpill>,
-    /// The run-server task key this output was published under (set by
-    /// the map task itself, remote transport only): parts and spill were
-    /// already serialized into the task's exchange file, and the remote
-    /// exchange fetches by this key instead of touching them.
-    pub(crate) published: Option<u64>,
+pub(crate) struct TaskRuns {
+    /// The run file, opened read-only; `None` when no run was written.
+    pub(crate) file: Option<Arc<File>>,
+    /// Partition-indexed run directories.
+    pub(crate) parts: Vec<Vec<RunMeta>>,
 }
 
-impl<K, V> MapOutput<K, V> {
-    pub(crate) fn new(parts: Vec<Vec<ShuffleRecord<K, V>>>, spill: Option<TaskSpill>) -> Self {
-        Self {
-            parts,
-            spill,
-            published: None,
-        }
-    }
-
-    /// Tags the output with its run-server key (builder style).
-    pub(crate) fn with_published(mut self, published: Option<u64>) -> Self {
-        self.published = published;
-        self
-    }
+/// One map task's complete post-combine output, as handed to the
+/// exchange. Constructed by the runtime only.
+#[derive(Debug)]
+pub(crate) struct MapOutput<K, V> {
+    /// The task's sorted runs: its spill file under the in-process
+    /// handoff, or the exchange file it published.
+    pub(crate) runs: Option<TaskRuns>,
+    /// Partition-indexed in-memory leftover (empty once published).
+    pub(crate) parts: Vec<Vec<ShuffleRecord<K, V>>>,
+    /// The task id the output was published under (file transports
+    /// only): its runs are exchange bytes, and the remote exchange
+    /// fetches them by this key.
+    pub(crate) published: Option<u64>,
 }
 
 /// The transport's result: every partition's reduce-input segments, plus
 /// what moving them cost.
 #[derive(Debug)]
-pub struct Exchange<K, V> {
+pub(crate) struct Exchange<K, V> {
     pub(crate) partition_segments: Vec<Vec<Segment<K, V>>>,
-    /// Bytes serialized through the transport (0 for [`InProcess`]).
-    pub bytes_moved: u64,
-    /// Keeps the exchange directory alive until the reduce phase has
-    /// drained it; dropping the last reference removes the directory
-    /// (shared because [`Remote`] holds it too, transitively keeping it
-    /// alive for any still-running speculative map attempt).
-    pub(crate) guard: Option<Arc<SpillDirGuard>>,
+    /// Bytes serialized through the transport (0 in process).
+    pub(crate) bytes_moved: u64,
     /// What the fetch client observed ([`Remote`] only; zero elsewhere).
     /// Wall-clock-class observability — retries depend on timing and
     /// injected faults, never on job content.
-    pub fetch: FetchStats,
+    pub(crate) fetch: FetchStats,
 }
 
-/// A shuffle transport: turns the map phase's per-task outputs into
-/// per-partition segment lists for the reduce phase.
-///
-/// Implementations must preserve the segment discipline the merge relies
-/// on: partition `p`'s segments appear in map-task order, a task's
-/// spilled runs (in spill order) before its in-memory leftover.
-pub trait ShuffleTransport {
-    /// The transport's stable name (reported in job stats).
-    fn name(&self) -> &'static str;
-
-    /// Moves `tasks`' outputs into per-partition reduce inputs.
-    fn exchange<K: Spill + Hash, V: Spill>(
-        &self,
-        tasks: Vec<MapOutput<K, V>>,
-        partitions: usize,
-    ) -> std::io::Result<Exchange<K, V>>;
-}
-
-/// The in-process segment handoff: buffers and spill-run handles move by
-/// reference. Zero serialization, zero bytes moved.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct InProcess;
-
-impl ShuffleTransport for InProcess {
-    fn name(&self) -> &'static str {
-        Transport::InProcess.name()
-    }
-
-    fn exchange<K: Spill + Hash, V: Spill>(
-        &self,
-        tasks: Vec<MapOutput<K, V>>,
-        partitions: usize,
-    ) -> std::io::Result<Exchange<K, V>> {
-        let mut partition_segments: Vec<Vec<Segment<K, V>>> =
-            (0..partitions).map(|_| Vec::new()).collect();
-        for task in tasks {
-            if let Some(spill) = task.spill {
-                for (p, runs) in spill.runs.into_iter().enumerate() {
-                    for meta in runs {
-                        partition_segments[p].push(Segment::Spilled {
-                            file: Arc::clone(&spill.file),
-                            meta,
-                        });
-                    }
-                }
-            }
-            for (p, segment) in task.parts.into_iter().enumerate() {
-                if !segment.is_empty() {
-                    partition_segments[p].push(Segment::Mem(segment));
-                }
-            }
-        }
-        Ok(Exchange {
-            partition_segments,
-            bytes_moved: 0,
-            guard: None,
-            fetch: FetchStats::default(),
-        })
-    }
-}
-
-/// The file-exchange transport: serializes every map task's output into
-/// per-partition sorted-run files under `exchange_dir` (see the module
-/// docs) and hands reducers only `Segment::Spilled` entries backed by
-/// those files.
-#[derive(Debug, Clone)]
-pub struct MultiProcess {
-    /// The job's shared exchange directory (reserved by the runtime,
-    /// materialized lazily by the first written partition, removed when
-    /// the returned [`Exchange`]'s guard drops).
-    pub exchange_dir: PathBuf,
-}
-
-impl MultiProcess {
-    pub fn new(exchange_dir: PathBuf) -> Self {
-        Self { exchange_dir }
-    }
-}
-
-/// One partition's exchange file while it is being written.
-struct PartitionFile {
-    writer: SpillWriter,
-    metas: Vec<RunMeta>,
-}
-
-impl PartitionFile {
-    /// The partition's exchange file, opened on first use.
+/// Publishes one map task's output into the exchange directory `dir`:
+/// per partition, the task's spilled runs (a raw byte copy — spill runs
+/// are already in the exchange frame format), then its in-memory leftover
+/// as one sorted run, all into the task's own file `task<N>.xruns`.
+/// Called from inside the timed map task, so the writing overlaps the map
+/// wave and the buffers are freed at once. `task` is already
+/// attempt-distinct under speculation, so concurrent attempts never
+/// collide on a file. A task that produced nothing creates no file.
+pub(crate) fn publish_task<K: Spill + Hash, V: Spill>(
+    dir: &Path,
+    task: u64,
+    mut parts: Vec<Vec<ShuffleRecord<K, V>>>,
+    spill: Option<&TaskRuns>,
+) -> std::io::Result<TaskRuns> {
+    // The task's exchange file, opened on first written run.
     fn open<'a>(
-        files: &'a mut [Option<PartitionFile>],
-        dir: &std::path::Path,
-        p: usize,
-    ) -> std::io::Result<&'a mut PartitionFile> {
-        let slot = &mut files[p];
-        match slot.take() {
-            Some(f) => Ok(slot.insert(f)),
-            None => Ok(slot.insert(PartitionFile {
-                writer: SpillWriter::create(dir.join(format!("part{p}.runs")))?,
-                metas: Vec::new(),
-            })),
+        writer: &'a mut Option<SpillWriter>,
+        dir: &Path,
+        task: u64,
+    ) -> std::io::Result<&'a mut SpillWriter> {
+        match writer.take() {
+            Some(w) => Ok(writer.insert(w)),
+            None => Ok(writer.insert(SpillWriter::create(dir.join(format!("task{task}.xruns")))?)),
         }
     }
+    let mut writer: Option<SpillWriter> = None;
+    let mut runs: Vec<Vec<RunMeta>> = Vec::with_capacity(parts.len());
+    for (p, segment) in parts.iter_mut().enumerate() {
+        let mut metas = Vec::new();
+        if let Some(TaskRuns {
+            file: Some(file),
+            parts: spilled,
+        }) = spill
+        {
+            for meta in &spilled[p] {
+                metas.push(open(&mut writer, dir, task)?.copy_raw_run(file, *meta)?);
+            }
+        }
+        if !segment.is_empty() {
+            // Stable sort: equal-fingerprint records keep emit order,
+            // mirroring the mapper's own spill discipline.
+            segment.sort_by_key(|(h, _, _)| *h);
+            metas.push(open(&mut writer, dir, task)?.write_run(segment)?);
+        }
+        runs.push(metas);
+    }
+    let file = match writer {
+        Some(w) => Some(w.into_reader()?.0),
+        None => None,
+    };
+    Ok(TaskRuns { file, parts: runs })
 }
 
-impl ShuffleTransport for MultiProcess {
-    fn name(&self) -> &'static str {
-        Transport::MultiProcess.name()
-    }
-
-    fn exchange<K: Spill + Hash, V: Spill>(
-        &self,
-        tasks: Vec<MapOutput<K, V>>,
-        partitions: usize,
-    ) -> std::io::Result<Exchange<K, V>> {
-        let guard = Arc::new(SpillDirGuard(self.exchange_dir.clone()));
-        // One exchange file per partition, created lazily so sparse
-        // partitions (common with partitions ≈ machines ≫ keys) cost
-        // nothing.
-        let mut files: Vec<Option<PartitionFile>> = (0..partitions).map(|_| None).collect();
-
-        for task in tasks {
-            // The task's spilled runs first, then its in-memory leftover —
-            // the same segment order InProcess produces, so the reduce
-            // merge's tie-breaking (and thus job output) is unchanged.
-            if let Some(spill) = &task.spill {
-                for (p, runs) in spill.runs.iter().enumerate() {
-                    for meta in runs {
-                        let slot = PartitionFile::open(&mut files, &self.exchange_dir, p)?;
-                        // Re-ship the mapper-local run over the "wire": a
-                        // raw byte copy — spill runs are already in the
-                        // exchange frame format, so no decode/re-encode.
-                        let copied = slot.writer.copy_raw_run(&spill.file, *meta)?;
-                        slot.metas.push(copied);
+/// The exchange of both local transports: hands reduce every task's runs
+/// in place — `Segment::Spilled` over the task's spill file or published
+/// exchange file, no second file and no copy — and its in-memory leftover
+/// by reference, partition by partition in task order. `bytes_moved` is
+/// the published run volume (0 for the in-process handoff, which
+/// publishes nothing).
+pub(crate) fn exchange_local<K, V>(
+    tasks: Vec<MapOutput<K, V>>,
+    partitions: usize,
+) -> Exchange<K, V> {
+    let mut bytes_moved = 0u64;
+    let mut partition_segments: Vec<Vec<Segment<K, V>>> =
+        (0..partitions).map(|_| Vec::new()).collect();
+    for task in tasks {
+        if let Some(TaskRuns {
+            file: Some(file),
+            parts,
+        }) = task.runs
+        {
+            for (p, metas) in parts.into_iter().enumerate() {
+                for meta in metas {
+                    if task.published.is_some() {
+                        bytes_moved += meta.bytes;
                     }
+                    partition_segments[p].push(Segment::Spilled {
+                        file: Arc::clone(&file),
+                        meta,
+                    });
                 }
             }
-            for (p, mut segment) in task.parts.into_iter().enumerate() {
-                if segment.is_empty() {
-                    continue;
-                }
-                // Stable sort: equal-fingerprint records keep emit order,
-                // mirroring the mapper's own spill discipline.
-                segment.sort_by_key(|(h, _, _)| *h);
-                let slot = PartitionFile::open(&mut files, &self.exchange_dir, p)?;
-                slot.metas.push(slot.writer.write_run(&segment)?);
+        }
+        for (p, segment) in task.parts.into_iter().enumerate() {
+            if !segment.is_empty() {
+                partition_segments[p].push(Segment::Mem(segment));
             }
         }
-
-        let mut bytes_moved = 0u64;
-        let mut partition_segments: Vec<Vec<Segment<K, V>>> =
-            (0..partitions).map(|_| Vec::new()).collect();
-        for (p, file) in files.into_iter().enumerate() {
-            let Some(PartitionFile { writer, metas }) = file else {
-                continue;
-            };
-            bytes_moved += writer.bytes();
-            let (file, _path) = writer.into_reader()?;
-            partition_segments[p].extend(metas.into_iter().map(|meta| Segment::Spilled {
-                file: Arc::clone(&file),
-                meta,
-            }));
-        }
-        Ok(Exchange {
-            partition_segments,
-            bytes_moved,
-            guard: Some(guard),
-            fetch: FetchStats::default(),
-        })
+    }
+    Exchange {
+        partition_segments,
+        bytes_moved,
+        fetch: FetchStats::default(),
     }
 }
 
 /// The network transport: map tasks publish their output as per-task
-/// exchange files (`Remote::publish_task`, called *inside* the timed
-/// map task, overlapping the map wave) and register them with a per-stage
-/// [`RunServer`]; after the map barrier, [`Remote::exchange`] fetches
+/// exchange files (`publish_task`, called *inside* the timed map task,
+/// overlapping the map wave) and register them with a per-stage
+/// [`RunServer`]; after the map barrier, `Remote::exchange` fetches
 /// every partition's runs back over a socket — directory lookups plus
 /// chunked ranged reads with retries — and assembles them into local
 /// per-partition run files for the ordinary sort-merge reduce.
@@ -354,11 +277,10 @@ impl ShuffleTransport for MultiProcess {
 /// fetch is an idempotent ranged read, so a retried request yields the
 /// same bytes and only the wall-clock-class [`FetchStats`] differ.
 #[derive(Debug)]
-pub struct Remote {
-    /// Exchange directory (task files + fetched partition files), shared
-    /// with the [`Exchange`] guard and any speculative map attempt still
-    /// holding the transport.
-    guard: Arc<SpillDirGuard>,
+pub(crate) struct Remote {
+    /// The stage's exchange directory (task files + fetched partition
+    /// files); its owner keeps it alive until reduce has drained it.
+    dir: PathBuf,
     /// This stage's job id in the run-server keyspace (process-unique).
     job: u64,
     registry: Arc<Registry>,
@@ -374,15 +296,15 @@ pub struct Remote {
 static NEXT_JOB: AtomicU64 = AtomicU64::new(0);
 
 impl Remote {
-    /// Reserves `exchange_dir`, starts this stage's run server (loopback
-    /// TCP, ephemeral port) with `fault` injection, and allocates a fresh
-    /// job id.
-    pub(crate) fn start(exchange_dir: PathBuf, fault: FaultConfig) -> std::io::Result<Self> {
+    /// Starts this stage's run server (loopback TCP, ephemeral port) with
+    /// `fault` injection over the exchange directory `dir`, and allocates
+    /// a fresh job id.
+    pub(crate) fn start(dir: PathBuf, fault: FaultConfig) -> std::io::Result<Self> {
         let registry = Arc::new(Registry::new());
         let server = RunServer::bind_tcp(Arc::clone(&registry), fault)?;
         let addr = server.addr().clone();
         Ok(Self {
-            guard: Arc::new(SpillDirGuard(exchange_dir)),
+            dir,
             job: NEXT_JOB.fetch_add(1, Ordering::Relaxed),
             registry,
             server: Mutex::new(Some(server)),
@@ -391,61 +313,24 @@ impl Remote {
         })
     }
 
-    /// Serializes one map task's output — spilled runs (raw byte copy)
-    /// then the sorted in-memory leftover, per partition — into the
-    /// task's own exchange file and registers it with the run server:
-    /// servable the moment the task finishes, while the map wave is still
-    /// running. Called from inside the map task; `task` is already
-    /// attempt-distinct under speculation, so concurrent attempts never
-    /// collide on a file or registry key.
-    ///
-    /// A task that produced nothing still registers (an empty directory
-    /// is a valid answer; an unknown task is an error).
-    pub(crate) fn publish_task<K: Spill + Hash, V: Spill>(
-        &self,
-        task: u64,
-        mut parts: Vec<Vec<ShuffleRecord<K, V>>>,
-        spill: Option<&TaskSpill>,
-    ) -> std::io::Result<()> {
-        let dir = &self.guard.0;
-        // The task's exchange file, opened on first written run.
-        fn open<'a>(
-            writer: &'a mut Option<SpillWriter>,
-            dir: &std::path::Path,
-            task: u64,
-        ) -> std::io::Result<&'a mut SpillWriter> {
-            match writer.take() {
-                Some(w) => Ok(writer.insert(w)),
-                None => {
-                    Ok(writer.insert(SpillWriter::create(dir.join(format!("task{task}.xruns")))?))
-                }
-            }
-        }
-        let mut writer: Option<SpillWriter> = None;
-        let mut dirs: Vec<Vec<RunSpec>> = Vec::with_capacity(parts.len());
-        for (p, segment) in parts.iter_mut().enumerate() {
-            let mut specs = Vec::new();
-            if let Some(spill) = spill {
-                for meta in &spill.runs[p] {
-                    let copied = open(&mut writer, dir, task)?.copy_raw_run(&spill.file, *meta)?;
-                    specs.push(run_spec(copied));
-                }
-            }
-            if !segment.is_empty() {
-                // Stable sort: equal-fingerprint records keep emit order,
-                // the same discipline as the other transports.
-                segment.sort_by_key(|(h, _, _)| *h);
-                specs.push(run_spec(open(&mut writer, dir, task)?.write_run(segment)?));
-            }
-            dirs.push(specs);
-        }
-        let file = match writer {
-            Some(w) => Some(w.into_reader()?.0),
-            None => None,
-        };
-        self.registry
-            .publish(self.job, task, PublishedTask { file, parts: dirs });
-        Ok(())
+    /// Registers one published map task with the run server: its runs
+    /// are servable the moment the task finishes, while the map wave is
+    /// still running. A task that produced nothing still registers (an
+    /// empty directory is a valid answer; an unknown task is an error).
+    pub(crate) fn register(&self, task: u64, runs: &TaskRuns) {
+        let parts = runs
+            .parts
+            .iter()
+            .map(|metas| metas.iter().copied().map(run_spec).collect())
+            .collect();
+        self.registry.publish(
+            self.job,
+            task,
+            PublishedTask {
+                file: runs.file.clone(),
+                parts,
+            },
+        );
     }
 
     /// Shuts the run server down (idempotent). Called once the exchange
@@ -458,44 +343,27 @@ impl Remote {
             .take();
         drop(server);
     }
-}
 
-/// [`RunMeta`] → wire [`RunSpec`] (same fields, decoupled types: the
-/// netshuffle crate stays independent of the spill layer).
-fn run_spec(meta: RunMeta) -> RunSpec {
-    RunSpec {
-        offset: meta.offset,
-        bytes: meta.bytes,
-        records: meta.records,
-    }
-}
-
-fn fetch_io(err: FetchError) -> std::io::Error {
-    std::io::Error::other(format!("run fetch failed: {err}"))
-}
-
-impl ShuffleTransport for Remote {
-    fn name(&self) -> &'static str {
-        Transport::Remote.name()
-    }
-
-    fn exchange<K: Spill + Hash, V: Spill>(
+    /// Fetches every partition's runs — per partition, the published
+    /// tasks in order — into local `part<p>.fetch` files for reduce.
+    pub(crate) fn exchange<K: Spill + Hash, V: Spill>(
         &self,
         tasks: Vec<MapOutput<K, V>>,
         partitions: usize,
     ) -> std::io::Result<Exchange<K, V>> {
         // Map tasks already published everything; all the exchange needs
         // is each winner's run-server key, in task order.
-        let mut keys = Vec::with_capacity(tasks.len());
-        for task in &tasks {
-            let Some(key) = task.published else {
-                return Err(std::io::Error::other(
-                    "remote exchange received a map output that was never published \
-                     to the run server",
-                ));
-            };
-            keys.push(key);
-        }
+        let keys = tasks
+            .iter()
+            .map(|task| {
+                task.published.ok_or_else(|| {
+                    std::io::Error::other(
+                        "remote exchange received a map output that was never published \
+                         to the run server",
+                    )
+                })
+            })
+            .collect::<std::io::Result<Vec<u64>>>()?;
         drop(tasks);
 
         let mut client = FetchClient::new(self.addr.clone(), self.fetch_config);
@@ -529,7 +397,7 @@ impl ShuffleTransport for Remote {
                     let writer = match writer.take() {
                         Some(w) => writer.insert(w),
                         None => writer.insert(SpillWriter::create(
-                            self.guard.0.join(format!("part{p}.fetch")),
+                            self.dir.join(format!("part{p}.fetch")),
                         )?),
                     };
                     let start = writer.offset();
@@ -557,17 +425,30 @@ impl ShuffleTransport for Remote {
         Ok(Exchange {
             partition_segments,
             bytes_moved,
-            guard: Some(Arc::clone(&self.guard)),
             fetch: client.stats(),
         })
     }
+}
+
+/// [`RunMeta`] → wire [`RunSpec`] (same fields, decoupled types: the
+/// netshuffle crate stays independent of the spill layer).
+fn run_spec(meta: RunMeta) -> RunSpec {
+    RunSpec {
+        offset: meta.offset,
+        bytes: meta.bytes,
+        records: meta.records,
+    }
+}
+
+fn fetch_io(err: FetchError) -> std::io::Error {
+    std::io::Error::other(format!("run fetch failed: {err}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hash::fingerprint64;
-    use crate::spill::reserve_job_dir;
+    use crate::spill::{reserve_job_dir, SpillDirGuard};
 
     fn rec(key: u64, value: u64, partitions: usize) -> (usize, ShuffleRecord<u64, u64>) {
         let h = fingerprint64(&key);
@@ -582,10 +463,34 @@ mod tests {
             parts[p].push(r);
         }
         MapOutput {
+            runs: None,
             parts,
-            spill: None,
             published: None,
         }
+    }
+
+    /// Publishes `keys` as map task `task` would under a file transport
+    /// (and registers it with `remote`, if any).
+    fn published_task(
+        dir: &Path,
+        task: u64,
+        keys: &[(u64, u64)],
+        partitions: usize,
+        remote: Option<&Remote>,
+    ) -> MapOutput<u64, u64> {
+        let runs = publish_task(dir, task, mem_task(keys, partitions).parts, None).unwrap();
+        if let Some(remote) = remote {
+            remote.register(task, &runs);
+        }
+        MapOutput {
+            runs: Some(runs),
+            parts: Vec::new(),
+            published: Some(task),
+        }
+    }
+
+    fn exchange_dir() -> SpillDirGuard {
+        SpillDirGuard(reserve_job_dir(&std::env::temp_dir(), "tsj-exchange-test"))
     }
 
     /// Drains every segment of an exchange into (partition, record) order.
@@ -609,6 +514,15 @@ mod tests {
             }
         }
         out
+    }
+
+    fn file_names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
     }
 
     #[test]
@@ -639,26 +553,19 @@ mod tests {
         let data_a: Vec<(u64, u64)> = (0..40).map(|i| (i % 11, i)).collect();
         let data_b: Vec<(u64, u64)> = (0..25).map(|i| (i % 7, 100 + i)).collect();
 
-        let in_proc = InProcess
-            .exchange(
-                vec![mem_task(&data_a, partitions), mem_task(&data_b, partitions)],
-                partitions,
-            )
-            .unwrap();
+        let in_proc = exchange_local(
+            vec![mem_task(&data_a, partitions), mem_task(&data_b, partitions)],
+            partitions,
+        );
 
-        let dir = reserve_job_dir(&std::env::temp_dir(), "tsj-remote-test");
-        let remote = Remote::start(dir.clone(), tsj_netshuffle::FaultConfig::default()).unwrap();
+        let dir = exchange_dir();
+        let remote = Remote::start(dir.0.clone(), FaultConfig::default()).unwrap();
         // Publish exactly as the map tasks would, then exchange over the
         // socket.
-        let mut outputs = Vec::new();
-        for (task, data) in [(0u64, &data_a), (1, &data_b)] {
-            let out = mem_task(data, partitions);
-            remote.publish_task(task, out.parts, None).unwrap();
-            outputs.push(
-                MapOutput::new((0..partitions).map(|_| Vec::new()).collect(), None)
-                    .with_published(Some(task)),
-            );
-        }
+        let outputs = vec![
+            published_task(&dir.0, 0, &data_a, partitions, Some(&remote)),
+            published_task(&dir.0, 1, &data_b, partitions, Some(&remote)),
+        ];
         let exchange = remote.exchange(outputs, partitions).unwrap();
         remote.stop();
         assert!(exchange.bytes_moved > 0);
@@ -666,8 +573,9 @@ mod tests {
         assert_eq!(exchange.fetch.bytes, exchange.bytes_moved);
 
         assert_eq!(drain(exchange), drain(in_proc));
-        drop(remote);
-        assert!(!dir.exists(), "guard removes the exchange dir on drop");
+        let path = dir.0.clone();
+        drop(dir);
+        assert!(!path.exists(), "guard removes the exchange dir on drop");
     }
 
     #[test]
@@ -675,24 +583,22 @@ mod tests {
         let partitions = 3;
         let data: Vec<(u64, u64)> = (0..60).map(|i| (i % 13, i)).collect();
 
-        let dir = reserve_job_dir(&std::env::temp_dir(), "tsj-exchange-test");
-        let multi = MultiProcess::new(dir)
-            .exchange(vec![mem_task(&data, partitions)], partitions)
-            .unwrap();
+        let dir = exchange_dir();
+        let multi = exchange_local(
+            vec![published_task(&dir.0, 0, &data, partitions, None)],
+            partitions,
+        );
 
-        let dir = reserve_job_dir(&std::env::temp_dir(), "tsj-remote-test");
-        let remote = Remote::start(dir, tsj_netshuffle::FaultConfig::default()).unwrap();
-        let out = mem_task(&data, partitions);
-        remote.publish_task(0, out.parts, None).unwrap();
-        let exchange = remote
-            .exchange(
-                vec![
-                    MapOutput::new((0..partitions).map(|_| Vec::new()).collect(), None)
-                        .with_published(Some(0)),
-                ],
-                partitions,
-            )
-            .unwrap();
+        let remote_dir = exchange_dir();
+        let remote = Remote::start(remote_dir.0.clone(), FaultConfig::default()).unwrap();
+        let outputs = vec![published_task(
+            &remote_dir.0,
+            0,
+            &data,
+            partitions,
+            Some(&remote),
+        )];
+        let exchange = remote.exchange(outputs, partitions).unwrap();
         remote.stop();
         // Same runs, same frames: the serialized exchange volume is
         // byte-for-byte the multi-process one.
@@ -702,8 +608,8 @@ mod tests {
 
     #[test]
     fn remote_exchange_rejects_unpublished_outputs() {
-        let dir = reserve_job_dir(&std::env::temp_dir(), "tsj-remote-test");
-        let remote = Remote::start(dir, tsj_netshuffle::FaultConfig::default()).unwrap();
+        let dir = exchange_dir();
+        let remote = Remote::start(dir.0.clone(), FaultConfig::default()).unwrap();
         let err = remote
             .exchange(vec![mem_task(&[(1, 1)], 2)], 2)
             .expect_err("unpublished output must be a structured error");
@@ -717,53 +623,55 @@ mod tests {
         let data_a: Vec<(u64, u64)> = (0..40).map(|i| (i % 11, i)).collect();
         let data_b: Vec<(u64, u64)> = (0..25).map(|i| (i % 7, 100 + i)).collect();
 
-        let in_proc = InProcess
-            .exchange(
-                vec![mem_task(&data_a, partitions), mem_task(&data_b, partitions)],
-                partitions,
-            )
-            .unwrap();
+        let in_proc = exchange_local(
+            vec![mem_task(&data_a, partitions), mem_task(&data_b, partitions)],
+            partitions,
+        );
         assert_eq!(in_proc.bytes_moved, 0);
 
-        let dir = reserve_job_dir(&std::env::temp_dir(), "tsj-exchange-test");
-        let multi = MultiProcess::new(dir.clone())
-            .exchange(
-                vec![mem_task(&data_a, partitions), mem_task(&data_b, partitions)],
-                partitions,
-            )
-            .unwrap();
+        let dir = exchange_dir();
+        let multi = exchange_local(
+            vec![
+                published_task(&dir.0, 0, &data_a, partitions, None),
+                published_task(&dir.0, 1, &data_b, partitions, None),
+            ],
+            partitions,
+        );
         assert!(multi.bytes_moved > 0);
-        assert!(dir.exists(), "exchange dir materialized");
+        assert!(dir.0.exists(), "exchange dir materialized");
 
         // Same records per partition, in the same merged order (mem
         // segments compared post-sort, the order the merge consumes).
         assert_eq!(drain(multi), drain(in_proc));
-        assert!(!dir.exists(), "guard removes the exchange dir on drop");
+        let path = dir.0.clone();
+        drop(dir);
+        assert!(!path.exists(), "guard removes the exchange dir on drop");
     }
 
     #[test]
-    fn exchange_files_are_per_partition_and_runs_are_sorted() {
+    fn exchange_files_are_per_task_and_runs_are_sorted() {
         let partitions = 3;
-        let data: Vec<(u64, u64)> = (0..60).map(|i| (i, i * 2)).collect();
-        let dir = reserve_job_dir(&std::env::temp_dir(), "tsj-exchange-test");
-        let exchange = MultiProcess::new(dir.clone())
-            .exchange(vec![mem_task(&data, partitions)], partitions)
-            .unwrap();
-        let names: Vec<String> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .collect();
-        for name in &names {
-            assert!(
-                name.starts_with("part") && name.ends_with(".runs"),
-                "{name}"
-            );
-        }
+        let data_a: Vec<(u64, u64)> = (0..60).map(|i| (i, i * 2)).collect();
+        let data_b: Vec<(u64, u64)> = (40..90).map(|i| (i, i * 3)).collect();
+        let dir = exchange_dir();
+        let exchange = exchange_local(
+            vec![
+                published_task(&dir.0, 0, &data_a, partitions, None),
+                published_task(&dir.0, 1, &data_b, partitions, None),
+            ],
+            partitions,
+        );
+        // One file per publishing task, nothing per partition.
+        assert_eq!(file_names(&dir.0), ["task0.xruns", "task1.xruns"]);
+        let mut moved = 0u64;
         for (p, segments) in exchange.partition_segments.iter().enumerate() {
+            // Task order within the partition: one run per task here.
+            assert_eq!(segments.len(), 2, "partition {p}");
             for seg in segments {
                 let Segment::Spilled { file, meta } = seg else {
                     panic!("multi-process exchange must hand out spilled segments only");
                 };
+                moved += meta.bytes;
                 let mut r = RunReader::new(Arc::clone(file), *meta);
                 let mut last = 0u64;
                 while let Some((h, _, _)) = r.next::<u64, u64>().unwrap() {
@@ -773,17 +681,24 @@ mod tests {
                 }
             }
         }
+        assert_eq!(moved, exchange.bytes_moved);
     }
 
     #[test]
-    fn empty_partitions_create_no_exchange_files() {
+    fn tasks_without_output_create_no_exchange_files() {
         let partitions = 64;
-        let data: Vec<(u64, u64)> = vec![(1, 1)];
-        let dir = reserve_job_dir(&std::env::temp_dir(), "tsj-exchange-test");
-        let exchange = MultiProcess::new(dir.clone())
-            .exchange(vec![mem_task(&data, partitions)], partitions)
-            .unwrap();
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+        let dir = exchange_dir();
+        let exchange = exchange_local(
+            vec![
+                published_task(&dir.0, 0, &[], partitions, None),
+                published_task(&dir.0, 1, &[(1, 1)], partitions, None),
+                published_task(&dir.0, 2, &[], partitions, None),
+            ],
+            partitions,
+        );
+        // Only the task that emitted wrote a file, and only its one
+        // partition has a segment.
+        assert_eq!(file_names(&dir.0), ["task1.xruns"]);
         assert_eq!(
             exchange
                 .partition_segments
