@@ -4,7 +4,7 @@
 
 use std::collections::HashMap;
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tsj_mapreduce::{
@@ -82,84 +82,101 @@ fn bench_counting_job(c: &mut Criterion) {
     let mut g = c.benchmark_group("count_job");
     g.sample_size(10);
     g.bench_function("uncombined/200k", |b| {
-        b.iter(|| {
-            cluster
-                .run(
-                    "bench.count.uncombined",
-                    black_box(&keys),
-                    |&k, e: &mut Emitter<u64, u64>| e.emit(k, 1),
-                    |&k, vs: Vec<u64>, out: &mut OutputSink<(u64, u64)>| {
-                        out.emit((k, vs.iter().sum()));
-                    },
-                )
-                .unwrap()
-        })
+        b.iter_batched(
+            || keys.clone(),
+            |keys| {
+                cluster
+                    .input_vec(black_box(keys))
+                    .map_reduce(
+                        "bench.count.uncombined",
+                        |&k, e: &mut Emitter<u64, u64>| e.emit(k, 1),
+                        |&k, vs: Vec<u64>, out: &mut OutputSink<(u64, u64)>| {
+                            out.emit((k, vs.iter().sum()));
+                        },
+                    )
+                    .unwrap()
+                    .collect()
+                    .unwrap()
+            },
+            BatchSize::LargeInput,
+        )
     });
     g.bench_function("combined/200k", |b| {
-        b.iter(|| {
-            cluster
-                .run_combined(
-                    "bench.count.combined",
-                    black_box(&keys),
-                    |&k, e: &mut Emitter<u64, u64>| e.emit(k, 1),
-                    &Count,
-                    |&k, vs: Vec<u64>, out: &mut OutputSink<(u64, u64)>| {
-                        out.emit((k, vs.iter().sum()));
-                    },
-                )
-                .unwrap()
-        })
+        b.iter_batched(
+            || keys.clone(),
+            |keys| {
+                cluster
+                    .input_vec(black_box(keys))
+                    .map_reduce_combined(
+                        "bench.count.combined",
+                        |&k, e: &mut Emitter<u64, u64>| e.emit(k, 1),
+                        &Count,
+                        |&k, vs: Vec<u64>, out: &mut OutputSink<(u64, u64)>| {
+                            out.emit((k, vs.iter().sum()));
+                        },
+                    )
+                    .unwrap()
+                    .collect()
+                    .unwrap()
+            },
+            BatchSize::LargeInput,
+        )
     });
     g.finish();
 
     // Sanity outside the timed loops: identical output, smaller shuffle.
-    let plain = cluster
-        .run(
+    let (plain_out, plain) = cluster
+        .input(&keys)
+        .map_reduce(
             "check.uncombined",
-            &keys,
             |&k, e: &mut Emitter<u64, u64>| e.emit(k, 1),
             |&k, vs: Vec<u64>, out: &mut OutputSink<(u64, u64)>| {
                 out.emit((k, vs.iter().sum()));
             },
         )
+        .unwrap()
+        .collect()
         .unwrap();
-    let combined = cluster
-        .run_combined(
+    let (combined_out, combined) = cluster
+        .input(&keys)
+        .map_reduce_combined(
             "check.combined",
-            &keys,
             |&k, e: &mut Emitter<u64, u64>| e.emit(k, 1),
             &Count,
             |&k, vs: Vec<u64>, out: &mut OutputSink<(u64, u64)>| {
                 out.emit((k, vs.iter().sum()));
             },
         )
+        .unwrap()
+        .collect()
         .unwrap();
+    let (plain, combined) = (&plain.jobs()[0], &combined.jobs()[0]);
     let sort = |mut v: Vec<(u64, u64)>| {
         v.sort_unstable();
         v
     };
-    assert_eq!(sort(plain.output), sort(combined.output));
+    assert_eq!(sort(plain_out), sort(combined_out));
     assert!(
-        combined.stats.shuffle_records < plain.stats.shuffle_records,
+        combined.shuffle_records < plain.shuffle_records,
         "combiner must shrink the shuffle: {} vs {}",
-        combined.stats.shuffle_records,
-        plain.stats.shuffle_records
+        combined.shuffle_records,
+        plain.shuffle_records
     );
     assert!(
-        combined.stats.sim_total_secs < plain.stats.sim_total_secs,
+        combined.sim_total_secs < plain.sim_total_secs,
         "post-combine shuffle charging must lower the simulated cluster time"
     );
     println!(
         "count_job shuffle volume: uncombined {} records, combined {} records ({:.1}x saving)",
-        plain.stats.shuffle_records,
-        combined.stats.shuffle_records,
-        plain.stats.shuffle_records as f64 / combined.stats.shuffle_records.max(1) as f64,
+        plain.shuffle_records,
+        combined.shuffle_records,
+        plain.shuffle_records as f64 / combined.shuffle_records.max(1) as f64,
     );
     println!(
         "count_job simulated cluster time: uncombined {:.3}s, combined {:.3}s \
          (local wall time can go the other way: map-side combining spends CPU \
          to save shuffle volume, and the in-memory shuffle is free)",
-        plain.stats.sim_total_secs, combined.stats.sim_total_secs,
+        plain.sim_total_secs, combined.sim_total_secs,
     );
 }
 

@@ -7,10 +7,10 @@
 //! is identical and per-mapper memory stays capped — the trade a 1 GB-RAM
 //! production worker (paper Sec. V) makes on every large job.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tsj_mapreduce::{Cluster, Count, Emitter, JobResult, OutputSink, ShuffleConfig};
+use tsj_mapreduce::{Cluster, Count, Emitter, JobStats, OutputSink, ShuffleConfig};
 
 /// A skewed key stream (Zipf-ish over ~64k distinct keys): hot keys for
 /// the combiner to fold, but a key space wide enough that a map task's
@@ -26,11 +26,11 @@ fn skewed_keys(n: usize, seed: u64) -> Vec<u64> {
         .collect()
 }
 
-fn count_job(cluster: &Cluster, keys: &[u64], name: &str) -> JobResult<(u64, u64)> {
-    cluster
-        .run_combined(
+fn count_job(cluster: &Cluster, keys: Vec<u64>, name: &str) -> (Vec<(u64, u64)>, JobStats) {
+    let (output, report) = cluster
+        .input_vec(keys)
+        .map_reduce_combined(
             name,
-            keys,
             |&k, e: &mut Emitter<u64, u64>| e.emit(k, 1),
             &Count,
             |&k, vs: Vec<u64>, out: &mut OutputSink<(u64, u64)>| {
@@ -38,6 +38,9 @@ fn count_job(cluster: &Cluster, keys: &[u64], name: &str) -> JobResult<(u64, u64
             },
         )
         .unwrap()
+        .collect()
+        .unwrap();
+    (output, report.jobs()[0].clone())
 }
 
 fn bench_spill_job(c: &mut Criterion) {
@@ -52,13 +55,25 @@ fn bench_spill_job(c: &mut Criterion) {
     let mut g = c.benchmark_group("spill_count_job");
     g.sample_size(10);
     g.bench_function("unbounded/200k", |b| {
-        b.iter(|| count_job(&unbounded, black_box(&keys), "bench.spill.unbounded"))
+        b.iter_batched(
+            || keys.clone(),
+            |keys| count_job(&unbounded, black_box(keys), "bench.spill.unbounded"),
+            BatchSize::LargeInput,
+        )
     });
     g.bench_function("bounded2048/200k", |b| {
-        b.iter(|| count_job(&bounded, black_box(&keys), "bench.spill.bounded"))
+        b.iter_batched(
+            || keys.clone(),
+            |keys| count_job(&bounded, black_box(keys), "bench.spill.bounded"),
+            BatchSize::LargeInput,
+        )
     });
     g.bench_function("bounded256/200k", |b| {
-        b.iter(|| count_job(&tiny, black_box(&keys), "bench.spill.tiny"))
+        b.iter_batched(
+            || keys.clone(),
+            |keys| count_job(&tiny, black_box(keys), "bench.spill.tiny"),
+            BatchSize::LargeInput,
+        )
     });
     g.finish();
 
@@ -68,27 +83,27 @@ fn bench_spill_job(c: &mut Criterion) {
         v.sort_unstable();
         v
     };
-    let plain = count_job(&unbounded, &keys, "check.unbounded");
+    let (plain_out, plain) = count_job(&unbounded, keys.clone(), "check.unbounded");
     for (cluster, threshold) in [(&bounded, 2048u64), (&tiny, 256)] {
-        let spilled = count_job(cluster, &keys, "check.bounded");
-        assert_eq!(sort(plain.output.clone()), sort(spilled.output));
+        let (spilled_out, spilled) = count_job(cluster, keys.clone(), "check.bounded");
+        assert_eq!(sort(plain_out.clone()), sort(spilled_out));
         assert!(
-            spilled.stats.spilled_records > 0,
+            spilled.spilled_records > 0,
             "threshold {threshold} never spilled"
         );
-        assert!(spilled.stats.peak_buffered_records <= threshold);
-        assert!(spilled.stats.spill_secs > 0.0);
+        assert!(spilled.peak_buffered_records <= threshold);
+        assert!(spilled.spill_secs > 0.0);
         println!(
             "threshold {threshold}: spilled {} of {} shuffled records ({} KiB), \
              peak mapper buffer {} records, sim {:+.4}s vs unbounded",
-            spilled.stats.spilled_records,
-            spilled.stats.shuffle_records,
-            spilled.stats.spill_bytes / 1024,
-            spilled.stats.peak_buffered_records,
-            spilled.stats.sim_total_secs - plain.stats.sim_total_secs,
+            spilled.spilled_records,
+            spilled.shuffle_records,
+            spilled.spill_bytes / 1024,
+            spilled.peak_buffered_records,
+            spilled.sim_total_secs - plain.sim_total_secs,
         );
     }
-    assert_eq!(plain.stats.spilled_records, 0);
+    assert_eq!(plain.spilled_records, 0);
 }
 
 criterion_group! {

@@ -10,11 +10,11 @@
 //! local stand-in for what a worker NIC would charge on a genuine
 //! cluster.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tsj_mapreduce::{
-    Cluster, Count, Emitter, FaultConfig, JobResult, OutputSink, ShuffleConfig, Transport,
+    Cluster, Count, Emitter, FaultConfig, JobStats, OutputSink, ShuffleConfig, Transport,
 };
 
 /// A skewed key stream (Zipf-ish over ~64k distinct keys), the same
@@ -29,11 +29,11 @@ fn skewed_keys(n: usize, seed: u64) -> Vec<u64> {
         .collect()
 }
 
-fn count_job(cluster: &Cluster, keys: &[u64], name: &str) -> JobResult<(u64, u64)> {
-    cluster
-        .run_combined(
+fn count_job(cluster: &Cluster, keys: Vec<u64>, name: &str) -> (Vec<(u64, u64)>, JobStats) {
+    let (output, report) = cluster
+        .input_vec(keys)
+        .map_reduce_combined(
             name,
-            keys,
             |&k, e: &mut Emitter<u64, u64>| e.emit(k, 1),
             &Count,
             |&k, vs: Vec<u64>, out: &mut OutputSink<(u64, u64)>| {
@@ -41,6 +41,9 @@ fn count_job(cluster: &Cluster, keys: &[u64], name: &str) -> JobResult<(u64, u64
             },
         )
         .unwrap()
+        .collect()
+        .unwrap();
+    (output, report.jobs()[0].clone())
 }
 
 fn bench_transport_job(c: &mut Criterion) {
@@ -57,22 +60,32 @@ fn bench_transport_job(c: &mut Criterion) {
     let mut g = c.benchmark_group("transport_count_job");
     g.sample_size(10);
     g.bench_function("in-process/200k", |b| {
-        b.iter(|| count_job(&in_proc, black_box(&keys), "bench.transport.inprocess"))
+        b.iter_batched(
+            || keys.clone(),
+            |keys| count_job(&in_proc, black_box(keys), "bench.transport.inprocess"),
+            BatchSize::LargeInput,
+        )
     });
     g.bench_function("multi-process/200k", |b| {
-        b.iter(|| count_job(&multi, black_box(&keys), "bench.transport.multiprocess"))
+        b.iter_batched(
+            || keys.clone(),
+            |keys| count_job(&multi, black_box(keys), "bench.transport.multiprocess"),
+            BatchSize::LargeInput,
+        )
     });
     g.bench_function("multi-process+spill2048/200k", |b| {
-        b.iter(|| {
-            count_job(
-                &multi_spilling,
-                black_box(&keys),
-                "bench.transport.spilling",
-            )
-        })
+        b.iter_batched(
+            || keys.clone(),
+            |keys| count_job(&multi_spilling, black_box(keys), "bench.transport.spilling"),
+            BatchSize::LargeInput,
+        )
     });
     g.bench_function("remote/200k", |b| {
-        b.iter(|| count_job(&remote, black_box(&keys), "bench.transport.remote"))
+        b.iter_batched(
+            || keys.clone(),
+            |keys| count_job(&remote, black_box(keys), "bench.transport.remote"),
+            BatchSize::LargeInput,
+        )
     });
     g.finish();
 
@@ -82,24 +95,23 @@ fn bench_transport_job(c: &mut Criterion) {
         v.sort_unstable();
         v
     };
-    let plain = count_job(&in_proc, &keys, "check.inprocess");
-    assert_eq!(plain.stats.transport_bytes, 0);
+    let (plain_out, plain) = count_job(&in_proc, keys.clone(), "check.inprocess");
+    assert_eq!(plain.transport_bytes, 0);
     for (cluster, label) in [
         (&multi, "unbounded"),
         (&multi_spilling, "spill2048"),
         (&remote, "unbounded"),
     ] {
-        let exchanged = count_job(cluster, &keys, "check.exchange");
-        assert_eq!(sort(plain.output.clone()), sort(exchanged.output));
-        assert!(exchanged.stats.transport_bytes > 0);
-        assert!(exchanged.stats.transport_secs > 0.0);
+        let (exchanged_out, exchanged) = count_job(cluster, keys.clone(), "check.exchange");
+        assert_eq!(sort(plain_out.clone()), sort(exchanged_out));
+        assert!(exchanged.transport_bytes > 0);
+        assert!(exchanged.transport_secs > 0.0);
         // v2 framing pin: a (u64, u64) record frames as 1 B length +
         // 1 B fingerprint delta + 16 B payload = 18 B/record (the v1
         // fixed frame cost 28). Regressing past 20 means the compact
         // framing broke. The remote exchange ships the identical run
         // bytes, so the same pin covers it.
-        let b_per_rec =
-            exchanged.stats.transport_bytes as f64 / exchanged.stats.shuffle_records.max(1) as f64;
+        let b_per_rec = exchanged.transport_bytes as f64 / exchanged.shuffle_records.max(1) as f64;
         assert!(
             b_per_rec < 20.0,
             "{label}: exchange cost {b_per_rec:.1} B/record exceeds the v2 framing budget"
@@ -107,15 +119,15 @@ fn bench_transport_job(c: &mut Criterion) {
         println!(
             "{} ({label}): {} KiB exchanged for {} shuffled records \
              ({:.1} B/record), sim {:+.4}s vs in-process{}",
-            exchanged.stats.transport,
-            exchanged.stats.transport_bytes / 1024,
-            exchanged.stats.shuffle_records,
+            exchanged.transport,
+            exchanged.transport_bytes / 1024,
+            exchanged.shuffle_records,
             b_per_rec,
-            exchanged.stats.sim_total_secs - plain.stats.sim_total_secs,
-            if exchanged.stats.fetch_requests > 0 {
+            exchanged.sim_total_secs - plain.sim_total_secs,
+            if exchanged.fetch_requests > 0 {
                 format!(
                     ", {} fetch rpcs / {} retries",
-                    exchanged.stats.fetch_requests, exchanged.stats.fetch_retries
+                    exchanged.fetch_requests, exchanged.fetch_retries
                 )
             } else {
                 String::new()
@@ -135,15 +147,15 @@ fn bench_transport_job(c: &mut Criterion) {
                 seed: 3,
             }),
     );
-    let clean = count_job(&remote, &keys, "check.remote.clean");
-    let shaken = count_job(&faulted, &keys, "check.remote.faulted");
-    assert_eq!(sort(clean.output), sort(shaken.output));
-    assert_eq!(clean.stats.transport_bytes, shaken.stats.transport_bytes);
-    assert!(shaken.stats.fetch_retries > 0);
+    let (clean_out, clean) = count_job(&remote, keys.clone(), "check.remote.clean");
+    let (shaken_out, shaken) = count_job(&faulted, keys.clone(), "check.remote.faulted");
+    assert_eq!(sort(clean_out), sort(shaken_out));
+    assert_eq!(clean.transport_bytes, shaken.transport_bytes);
+    assert!(shaken.fetch_retries > 0);
     println!(
         "remote (drop 1/5 + 200µs stall): {} fetch rpcs, {} retries, \
          output and exchanged volume unchanged",
-        shaken.stats.fetch_requests, shaken.stats.fetch_retries,
+        shaken.fetch_requests, shaken.fetch_retries,
     );
 }
 

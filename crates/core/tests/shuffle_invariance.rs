@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use tsj::{ApproximationScheme, DedupStrategy, SimilarPair, TsjConfig, TsjJoiner};
 use tsj_datagen::workload;
-use tsj_mapreduce::{Cluster, ClusterConfig, CostModel, Count, Emitter, OutputSink};
+use tsj_mapreduce::{Cluster, ClusterConfig, CostModel, Count, Emitter, OutputSink, PlanCheck};
 use tsj_tokenize::{Corpus, NameTokenizer, StringId};
 
 fn cluster_with(threads: usize, partitions: usize, machines: usize) -> Cluster {
@@ -90,7 +90,9 @@ fn token_stats_combiner_matches_uncombined_reduce() {
     let w = workload(300, 0.3, 41);
     let corpus = Corpus::build(&w.strings, &NameTokenizer::default());
     let string_ids: Vec<u32> = (0..corpus.len() as u32).collect();
-    let cluster = cluster_with(4, 0, 16);
+    // The uncombined `()` formulation raises the warn-level
+    // `uncombined-dedup-foldable` diagnostic on purpose.
+    let cluster = cluster_with(4, 0, 16).with_plan_check(PlanCheck::Warn);
 
     let distinct_tokens = |s: u32| {
         let tokens = corpus.tokens(StringId(s));
@@ -103,10 +105,10 @@ fn token_stats_combiner_matches_uncombined_reduce() {
     };
 
     // Pre-refactor shape: one shuffled record per token occurrence.
-    let uncombined = cluster
-        .run(
+    let (uncombined_output, uncombined) = cluster
+        .input(&string_ids)
+        .map_reduce(
             "token_stats.uncombined",
-            &string_ids,
             |&s, e: &mut Emitter<u32, ()>| {
                 for t in distinct_tokens(s) {
                     e.emit(t.0, ());
@@ -116,13 +118,15 @@ fn token_stats_combiner_matches_uncombined_reduce() {
                 out.emit((tid, hits.len() as u32));
             },
         )
+        .unwrap()
+        .collect()
         .unwrap();
 
     // Production shape (what `TsjJoiner` runs): partial counts + combiner.
-    let combined = cluster
-        .run_combined(
+    let (combined_output, combined) = cluster
+        .input(&string_ids)
+        .map_reduce_combined(
             "token_stats.combined",
-            &string_ids,
             |&s, e: &mut Emitter<u32, u64>| {
                 for t in distinct_tokens(s) {
                     e.emit(t.0, 1);
@@ -133,23 +137,23 @@ fn token_stats_combiner_matches_uncombined_reduce() {
                 out.emit((tid, partial_counts.iter().sum::<u64>() as u32));
             },
         )
+        .unwrap()
+        .collect()
         .unwrap();
+    let (uncombined, combined) = (&uncombined.jobs()[0], &combined.jobs()[0]);
 
     let sort = |mut v: Vec<(u32, u32)>| {
         v.sort_unstable();
         v
     };
-    assert_eq!(sort(uncombined.output), sort(combined.output));
+    assert_eq!(sort(uncombined_output), sort(combined_output));
     // The whole point: same answer, fewer shuffled records.
-    assert_eq!(
-        uncombined.stats.shuffle_records,
-        uncombined.stats.map_output_records
-    );
+    assert_eq!(uncombined.shuffle_records, uncombined.map_output_records);
     assert!(
-        combined.stats.shuffle_records < uncombined.stats.shuffle_records,
+        combined.shuffle_records < uncombined.shuffle_records,
         "count combiner must shrink token_stats shuffle volume: {} vs {}",
-        combined.stats.shuffle_records,
-        uncombined.stats.shuffle_records
+        combined.shuffle_records,
+        uncombined.shuffle_records
     );
 }
 

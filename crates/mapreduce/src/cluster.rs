@@ -1,15 +1,12 @@
 //! The cluster: real threaded execution + simulated machine accounting.
 //!
-//! Since the lazy dataset layer (the private `dag` module), every stage —
-//! whether a classic [`Cluster::run`] job or a node of a
-//! [`Dataset`](crate::dataset::Dataset) graph — executes through one
-//! *streaming* engine (`run_stage_streamed`): map tasks are submitted to
-//! a shared worker pool as their inputs become ready (a driver slice's
-//! chunks are ready immediately; an upstream stage's partitions become
-//! ready one by one as its reduce tasks finish), and reduce tasks deliver
-//! their output partitions downstream the moment they complete. One
-//! engine, two call shapes — so the classic path and the DAG scheduler
-//! cannot drift apart.
+//! Every job is a node of a [`Dataset`](crate::dataset::Dataset) graph
+//! and executes through one *streaming* engine (`run_stage_streamed`):
+//! map tasks are submitted to a shared worker pool as their inputs become
+//! ready (a driver input's chunks are ready immediately; an upstream
+//! stage's partitions become ready one by one as its reduce tasks
+//! finish), and reduce tasks deliver their output partitions downstream
+//! the moment they complete. A single job is the one-stage graph.
 
 use std::collections::HashMap;
 use std::fs::File;
@@ -21,12 +18,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::dag::analyze::PlanCheck;
-use crate::dag::{execute, Feed, MapSource, Recv};
+use crate::dag::{Feed, Recv};
 use crate::dataset::{DataPartition, DatasetMode};
-use crate::job::{Emitter, JobError, JobResult, JobStats, OutputSink, PhaseSim};
+use crate::job::{Emitter, JobError, JobStats, OutputSink, PhaseSim};
 use crate::merge::{merge_segments_capped, MergeEffort, Segment};
 use crate::pool::{lock, panic_message, Pool, SchedStats, SchedulerConfig, TaskBody};
-use crate::shuffle::{Combiner, PartitionedBuffer, ShuffleConfig};
+use crate::shuffle::{PartitionedBuffer, ShuffleConfig};
 use crate::spill::{
     reserve_job_dir, reserve_job_spill_dir, RunMeta, RunReader, Spill, SpillDirGuard, SpillWriter,
 };
@@ -44,10 +41,11 @@ const ATTEMPT_STRIDE: usize = 1 << 20;
 /// may borrow the corpus, filters, bitmaps — anything outliving the run).
 pub(crate) type MapFn<'f, I, K, V> = Box<dyn Fn(&I, &mut Emitter<K, V>) + Send + Sync + 'f>;
 
-/// A stage's boxed combine pass: applies the job's [`Combiner`] to a map
-/// task's buffers and returns the post-combine record count. Pre-applied
-/// as a closure so only the combined entry points need `K: Clone`
-/// (combining clones keys; plain jobs never do).
+/// A stage's boxed combine pass: applies the job's
+/// [`Combiner`](crate::shuffle::Combiner) to a map task's buffers and
+/// returns the post-combine record count. Pre-applied as a closure so
+/// only the combined entry points need `K: Clone` (combining clones
+/// keys; plain jobs never do).
 pub(crate) type CombineFn<'f, K, V> =
     Box<dyn Fn(&mut PartitionedBuffer<K, V>) -> usize + Send + Sync + 'f>;
 
@@ -72,18 +70,6 @@ pub(crate) struct StageSpec<'f, I, K, V, O> {
     pub(crate) reduce: ReduceFn<'f, K, V, O>,
 }
 
-/// Where a stage's reduce output goes.
-pub(crate) enum StageSink<'f, O> {
-    /// Concatenate into one driver-side `Vec` in reduce-task order (the
-    /// classic `run*` behaviour), counted as records crossing the driver
-    /// boundary ([`JobStats::driver_out_records`]).
-    Driver,
-    /// Deliver each finished partition into the downstream feed *as its
-    /// reduce task completes* — the cross-stage overlap. `base` is this
-    /// stage's deterministic ordinal base (see [`crate::dag`]).
-    Feed { feed: Feed<'f, O>, base: u64 },
-}
-
 /// Why a streamed stage did not produce a result.
 pub(crate) enum StageFailure {
     /// An upstream producer failed; this stage aborted without running to
@@ -97,13 +83,6 @@ impl From<JobError> for StageFailure {
     fn from(e: JobError) -> Self {
         StageFailure::Job(e)
     }
-}
-
-/// A streamed stage's result: its stats, plus the driver-side output when
-/// the sink was [`StageSink::Driver`].
-pub(crate) struct StreamedResult<O> {
-    pub(crate) output: Vec<O>,
-    pub(crate) stats: JobStats,
 }
 
 /// Simulated-cost parameters of the cluster.
@@ -126,8 +105,8 @@ pub struct CostModel {
     /// Per-group overhead for *verification* jobs, where the paper's Fig. 1
     /// discussion applies: "grouping-on-one-string instantiates a worker
     /// for each string ... grouping-on-both-strings instantiates a worker
-    /// for each candidate pair". Jobs opt in via
-    /// [`Cluster::run_with_group_overhead`].
+    /// for each candidate pair". Stages opt in via
+    /// [`Dataset::map_reduce_combined_with_group_overhead`](crate::dataset::Dataset::map_reduce_combined_with_group_overhead).
     pub verify_group_overhead_secs: f64,
     /// Shuffle cost per shuffled record, divided across machines. Charged
     /// on the **post-combine** record count
@@ -394,220 +373,15 @@ impl Cluster {
         }
     }
 
-    /// The single source of truth for how a driver slice of `len` records
-    /// is chunked into map tasks — one task per simulated machine, capped
-    /// by the input — as `(num_tasks, chunk_size)`. The engine's
-    /// driver-slice path and the dataset layer's driver→partition
-    /// conversion both use it, so a lifted input's partition layout always
-    /// matches what the classic path would have seen.
+    /// How a driver input of `len` records is chunked into its first
+    /// stage's map tasks — one task per simulated machine, capped by the
+    /// input, so an empty input has no tasks — as `(num_tasks,
+    /// chunk_size)`. The dataset layer's lowering and
+    /// [`Dataset::num_partitions`](crate::dataset::Dataset::num_partitions)
+    /// both use it, so the reported layout is the executed one.
     pub(crate) fn slice_chunking(&self, len: usize) -> (usize, usize) {
-        let tasks = self.cfg.machines.min(len).max(1);
-        (tasks, len.div_ceil(tasks).max(1))
-    }
-
-    /// Runs one MapReduce job (Sec. III-A semantics).
-    ///
-    /// * `map` is applied to every input record, emitting `⟨key2, value2⟩`
-    ///   pairs into the [`Emitter`], which routes each pair to its shuffle
-    ///   partition `HASH(key2) % partitions` at emit time.
-    /// * Each partition's buffers are handed to exactly one reduce task,
-    ///   which groups pairs by key; each key's values are handed to
-    ///   `reduce` exactly once, on the simulated machine
-    ///   `partition % machines`.
-    /// * Output order across groups is unspecified (as on a real cluster),
-    ///   but deterministic given the input and the partition count —
-    ///   independent of the real thread count.
-    ///
-    /// Simulated time = job startup + map makespan + shuffle + reduce
-    /// makespan; see [`CostModel`]. Real execution uses all configured
-    /// threads regardless of the simulated machine count.
-    pub fn run<I, K, V, O, M, R>(
-        &self,
-        name: &str,
-        input: &[I],
-        map: M,
-        reduce: R,
-    ) -> Result<JobResult<O>, JobError>
-    where
-        I: Send + Sync + Spill,
-        K: Hash + Eq + Send + Spill,
-        V: Send + Spill,
-        O: Send + Sync + Spill,
-        M: Fn(&I, &mut Emitter<K, V>) + Sync,
-        R: Fn(&K, Vec<V>, &mut OutputSink<O>) + Sync,
-    {
-        self.run_one_stage(
-            name,
-            self.cfg.cost.reduce_group_overhead_secs,
-            input,
-            map,
-            None,
-            reduce,
-        )
-    }
-
-    /// [`Cluster::run`] with a map-side [`Combiner`]: each map task folds
-    /// its emitted values per key through `combiner` before the shuffle,
-    /// and the shuffle is charged on the post-combine record count
-    /// ([`JobStats::shuffle_records`]).
-    ///
-    /// The reducer must be insensitive to the partial aggregation (see the
-    /// [`Combiner`] contract) — given that, output is identical to
-    /// [`Cluster::run`] with the same `map`/`reduce`.
-    pub fn run_combined<I, K, V, O, M, C, R>(
-        &self,
-        name: &str,
-        input: &[I],
-        map: M,
-        combiner: &C,
-        reduce: R,
-    ) -> Result<JobResult<O>, JobError>
-    where
-        I: Send + Sync + Spill,
-        K: Hash + Eq + Clone + Send + Spill,
-        V: Send + Spill,
-        O: Send + Sync + Spill,
-        M: Fn(&I, &mut Emitter<K, V>) + Sync,
-        C: Combiner<K, V>,
-        R: Fn(&K, Vec<V>, &mut OutputSink<O>) + Sync,
-    {
-        let combine: CombineFn<'_, K, V> =
-            Box::new(move |buffer: &mut PartitionedBuffer<K, V>| buffer.combine(combiner));
-        self.run_one_stage(
-            name,
-            self.cfg.cost.reduce_group_overhead_secs,
-            input,
-            map,
-            Some(combine),
-            reduce,
-        )
-    }
-
-    /// [`Cluster::run`] with an explicit per-reduce-group worker overhead —
-    /// used by verification jobs, whose work units are the workers the
-    /// paper's dedup-strategy analysis counts (Sec. III-G3 / Fig. 1).
-    pub fn run_with_group_overhead<I, K, V, O, M, R>(
-        &self,
-        name: &str,
-        group_overhead_secs: f64,
-        input: &[I],
-        map: M,
-        reduce: R,
-    ) -> Result<JobResult<O>, JobError>
-    where
-        I: Send + Sync + Spill,
-        K: Hash + Eq + Send + Spill,
-        V: Send + Spill,
-        O: Send + Sync + Spill,
-        M: Fn(&I, &mut Emitter<K, V>) + Sync,
-        R: Fn(&K, Vec<V>, &mut OutputSink<O>) + Sync,
-    {
-        self.run_one_stage(name, group_overhead_secs, input, map, None, reduce)
-    }
-
-    /// [`Cluster::run_combined`] with an explicit per-reduce-group worker
-    /// overhead (verification jobs with a map-side combiner).
-    pub fn run_combined_with_group_overhead<I, K, V, O, M, C, R>(
-        &self,
-        name: &str,
-        group_overhead_secs: f64,
-        input: &[I],
-        map: M,
-        combiner: &C,
-        reduce: R,
-    ) -> Result<JobResult<O>, JobError>
-    where
-        I: Send + Sync + Spill,
-        K: Hash + Eq + Clone + Send + Spill,
-        V: Send + Spill,
-        O: Send + Sync + Spill,
-        M: Fn(&I, &mut Emitter<K, V>) + Sync,
-        C: Combiner<K, V>,
-        R: Fn(&K, Vec<V>, &mut OutputSink<O>) + Sync,
-    {
-        let combine: CombineFn<'_, K, V> =
-            Box::new(move |buffer: &mut PartitionedBuffer<K, V>| buffer.combine(combiner));
-        self.run_one_stage(name, group_overhead_secs, input, map, Some(combine), reduce)
-    }
-
-    /// One-stage graph: a driver slice in, driver output back out — the
-    /// single-driver execution every `run*` entry point reduces to. The
-    /// input's chunks are preloaded into the stage's feed (all ready at
-    /// start), so the streamed engine behaves exactly like the former
-    /// fixed map wave.
-    fn run_one_stage<I, K, V, O, M, R>(
-        &self,
-        name: &str,
-        group_overhead_secs: f64,
-        input: &[I],
-        map: M,
-        combine: Option<CombineFn<'_, K, V>>,
-        reduce: R,
-    ) -> Result<JobResult<O>, JobError>
-    where
-        I: Send + Sync + Spill,
-        K: Hash + Eq + Send + Spill,
-        V: Send + Spill,
-        O: Send + Sync + Spill,
-        M: Fn(&I, &mut Emitter<K, V>) + Sync,
-        R: Fn(&K, Vec<V>, &mut OutputSink<O>) + Sync,
-    {
-        let feed: Feed<'_, I> = Feed::new();
-        feed.register_producer();
-        feed.add_driver_in(input.len() as u64);
-        let (tasks, chunk) = self.slice_chunking(input.len());
-        for t in 0..tasks {
-            let lo = (t * chunk).min(input.len());
-            let hi = ((t + 1) * chunk).min(input.len());
-            feed.push(t as u64, MapSource::Chunk(&input[lo..hi]));
-        }
-        feed.close_producer(true);
-
-        let map = &map;
-        let reduce = &reduce;
-        let spec = StageSpec {
-            name: name.to_owned(),
-            group_overhead_secs,
-            partitions: self.partitions(),
-            is_repartition: false,
-            map: Box::new(move |i: &I, e: &mut Emitter<K, V>| map(i, e)) as MapFn<'_, I, K, V>,
-            combine,
-            reduce: Box::new(move |k: &K, vs: Vec<V>, o: &mut OutputSink<O>| reduce(k, vs, o))
-                as ReduceFn<'_, K, V, O>,
-        };
-
-        type ResultCell<O> = Mutex<Option<Result<StreamedResult<O>, StageFailure>>>;
-        let result: Arc<ResultCell<O>> = Arc::new(Mutex::new(None));
-        let cell = Arc::clone(&result);
-        let cluster = self;
-        // A preloaded one-stage graph never has more runnable map tasks
-        // than input chunks, so tiny jobs need not spawn a full-width
-        // pool; reduce tasks of a job this small are few as well.
-        let workers = self.threads().min(tasks.max(1));
-        execute(
-            workers,
-            self.scheduler.clone(),
-            vec![Box::new(move |pool: &Pool<'_>| {
-                let res = catch_panic("stage", || {
-                    run_stage_streamed(cluster, spec, 0, feed, StageSink::Driver, pool)
-                });
-                *lock(&cell) = Some(res);
-            })],
-        );
-        let outcome = lock(&result).take();
-        match outcome {
-            Some(Ok(r)) => Ok(JobResult {
-                output: r.output,
-                stats: r.stats,
-            }),
-            Some(Err(StageFailure::Job(e))) => Err(e),
-            // A preloaded feed cannot fail upstream, and the thunk always
-            // stores; both arms are defensive.
-            Some(Err(StageFailure::Upstream)) | None => Err(JobError::WorkerPanic {
-                phase: "stage",
-                message: "stage driver exited without reporting".to_owned(),
-            }),
-        }
+        let tasks = self.cfg.machines.min(len);
+        (tasks, len.div_ceil(tasks.max(1)).max(1))
     }
 }
 
@@ -639,7 +413,7 @@ struct MapTaskOut<K, V> {
 }
 
 /// A reduce task's measured output (one per non-empty partition).
-struct ReduceTaskOut<O> {
+struct ReduceTaskOut {
     machine: usize,
     /// Measured CPU total for the whole partition (ms-scale, so
     /// reliable; feeds the job-wide work rate).
@@ -654,8 +428,6 @@ struct ReduceTaskOut<O> {
     merge: MergeEffort,
     /// Records emitted (also counted when drained to a run file).
     emitted: u64,
-    /// Driver-bound output ([`StageSink::Driver`]; empty otherwise).
-    out: Vec<O>,
     counters: HashMap<&'static str, u64>,
 }
 
@@ -809,20 +581,23 @@ fn wave_barrier<T>(
     Ok(outs.into_iter().map(|(_, t)| t).collect())
 }
 
-/// The streaming stage engine behind both the classic `run*` entry points
-/// and the lazy [`Dataset`](crate::dataset::Dataset) scheduler (see the
-/// module docs). Consumes `input` until its producers close — submitting
-/// one map task per ready item — then shuffles through the configured
-/// transport and runs one reduce task per non-empty partition, delivering
-/// dataset partitions downstream as each task finishes.
+/// The streaming stage engine behind the lazy
+/// [`Dataset`](crate::dataset::Dataset) scheduler (see the module docs).
+/// Consumes `input` until its producers close — submitting one map task
+/// per ready item — then shuffles through the configured transport and
+/// runs one reduce task per non-empty partition, delivering each finished
+/// partition into `out` (tagged `base | task`, `base` being this stage's
+/// deterministic ordinal base; see [`crate::dag`]) as the task completes
+/// — the cross-stage overlap.
 pub(crate) fn run_stage_streamed<'f, I, K, V, O>(
     cluster: &Cluster,
     spec: StageSpec<'f, I, K, V, O>,
     priority: u32,
-    input: Feed<'f, I>,
-    sink: StageSink<'f, O>,
+    input: Feed<I>,
+    out: Feed<O>,
+    base: u64,
     pool: &Pool<'f>,
-) -> Result<StreamedResult<O>, StageFailure>
+) -> Result<JobStats, StageFailure>
 where
     I: Send + Sync + Spill + 'f,
     K: Hash + Eq + Send + Spill + 'f,
@@ -892,8 +667,8 @@ where
 
     // ---- Map wave (streaming) -----------------------------------------
     // One map task per ready input item, submitted to the shared pool the
-    // moment the item arrives — for a driver slice every chunk is ready
-    // immediately (a single wave, as before); for an upstream stage each
+    // moment the item arrives — for a driver input every chunk is ready
+    // immediately (a single wave); for an upstream stage each
     // partition becomes ready as its producing reduce task finishes, which
     // is exactly the cross-stage overlap. Each task partitions its output
     // at emit time and (optionally) combines it before the shuffle; under
@@ -919,8 +694,8 @@ where
                     WaveTicket::new(Arc::clone(&map_gather), ordinal),
                     Arc::clone(&sched_stats),
                 );
-                // Map sources read-share cleanly (slices, in-memory
-                // partitions by reference, positional spill reads), so
+                // Map sources read-share cleanly (in-memory partitions by
+                // reference, positional spill reads), so
                 // every map task is replayable: `attempt` only picks
                 // distinct file names. Outside speculative mode the pool
                 // runs attempt 0 exactly once.
@@ -1020,26 +795,17 @@ where
     let transport_secs = cost.transport_secs_per_byte * transport_bytes as f64 / machines as f64;
 
     // ---- Reduce wave ---------------------------------------------------
-    // Dataset stages under a bounded shuffle keep their output out of
-    // memory too: each reduce task drains its sink into a sorted-run
-    // file (wire format, fingerprint 0, unit key) after every group,
-    // and the next stage's map wave streams it back. The directory
-    // must outlive this job — its guard rides the output feed, held by
-    // the consumer until its own map wave is done.
-    let feed_sink: Option<(Feed<'f, O>, u64)> = match &sink {
-        StageSink::Driver => None,
-        StageSink::Feed { feed, base } => Some((feed.clone(), *base)),
-    };
-    let stage_out_dir: Option<Arc<SpillDirGuard>> = match (&feed_sink, shuffle.spill_threshold) {
-        (Some(_), Some(_)) => {
-            let guard = Arc::new(SpillDirGuard(reserve_job_dir(&dir_base, "tsj-stage")));
-            if let Some((feed, _)) = &feed_sink {
-                feed.add_guard(Arc::clone(&guard));
-            }
-            Some(guard)
-        }
-        _ => None,
-    };
+    // Under a bounded shuffle stage output stays out of memory too: each
+    // reduce task drains its sink into a sorted-run file (wire format,
+    // fingerprint 0, unit key) after every group, and the consumer (the
+    // next stage's map wave, or the collecting terminal) streams it back.
+    // The directory must outlive this job — its guard rides the output
+    // feed, held by the consumer until it has read every run.
+    let stage_out_dir: Option<Arc<SpillDirGuard>> = shuffle.spill_threshold.map(|_| {
+        let guard = Arc::new(SpillDirGuard(reserve_job_dir(&dir_base, "tsj-stage")));
+        out.add_guard(Arc::clone(&guard));
+        guard
+    });
 
     // Scratch base for fan-in-capped hierarchical merges: the job's
     // exchange dir (file transports) or spill dir (in-process spilling)
@@ -1053,7 +819,7 @@ where
             .map(|guard| guard.0.clone())
     });
 
-    let reduce_gather = WaveGather::<ReduceTaskOut<O>>::cell();
+    let reduce_gather = WaveGather::<ReduceTaskOut>::cell();
     let mut reduce_submitted = 0usize;
     for (partition, segments) in partition_segments.into_iter().enumerate() {
         if segments.is_empty() {
@@ -1065,7 +831,7 @@ where
         let shuffle = Arc::clone(&shuffle);
         let stage_out_dir = stage_out_dir.clone();
         let merge_scratch = merge_scratch.clone();
-        let feed_sink = feed_sink.clone();
+        let out = out.clone();
         let first = FirstResult::new(
             WaveTicket::new(Arc::clone(&reduce_gather), task as u64),
             Arc::clone(&sched_stats),
@@ -1078,7 +844,6 @@ where
                 run_reduce_task(
                     &spec,
                     &shuffle,
-                    feed_sink.is_some(),
                     stage_out_dir.as_ref().map(|g| g.0.as_path()),
                     merge_scratch.as_deref(),
                     machines,
@@ -1087,11 +852,11 @@ where
                     segments,
                 )
             });
-            first.complete(attempt, result, |(out, part)| {
-                if let (Some((feed, base)), Some(part)) = (&feed_sink, part) {
-                    feed.push(base | task as u64, MapSource::Part(part));
+            first.complete(attempt, result, |(task_out, part)| {
+                if let Some(part) = part {
+                    out.push(base | task as u64, part);
                 }
-                out
+                task_out
             });
         };
         // A reduce task is replayable only when every segment is a spilled
@@ -1133,7 +898,6 @@ where
     // machine (partitions > machines) add up on it.
     let base_loads = proportional_loads(reduce_tasks.iter().map(|t| (t.cpu_secs, t.work)), &cost);
     let mut machine_loads = vec![0.0f64; machines];
-    let mut output = Vec::new();
     let mut output_records = 0u64;
     let mut reduce_groups = 0u64;
     let mut max_group_size = 0u64;
@@ -1147,7 +911,6 @@ where
         merge_passes += t.merge.passes;
         merge_scratch_bytes += t.merge.scratch_bytes;
         output_records += t.emitted;
-        output.extend(t.out);
         for (k, v) in t.counters {
             *counters.entry(k).or_insert(0) += v;
         }
@@ -1189,10 +952,8 @@ where
         max_group_size,
         output_records,
         driver_in_records,
-        driver_out_records: match &sink {
-            StageSink::Driver => output.len() as u64,
-            StageSink::Feed { .. } => 0,
-        },
+        // Booked by the collecting terminal, if this stage is the last.
+        driver_out_records: 0,
         map: map_sim,
         shuffle_secs,
         spill_secs,
@@ -1209,7 +970,7 @@ where
         fetch_bytes: fetch_stats.bytes,
         counters,
     };
-    Ok(StreamedResult { output, stats })
+    Ok(stats)
 }
 
 /// One map task: streams its source through `map`, with periodic combine
@@ -1227,7 +988,7 @@ fn run_map_task<'f, I, K, V, O>(
     remote: Option<&Remote>,
     partitions: usize,
     task: usize,
-    source: &MapSource<'f, I>,
+    source: &DataPartition<I>,
 ) -> Result<MapTaskOut<K, V>, JobError>
 where
     I: Sync + Spill,
@@ -1279,17 +1040,12 @@ where
         }};
     }
     match source {
-        MapSource::Chunk(records) => {
-            for record in *records {
-                feed!(record);
-            }
-        }
-        MapSource::Part(DataPartition::Mem(records)) => {
+        DataPartition::Mem(records) => {
             for record in records {
                 feed!(record);
             }
         }
-        MapSource::Part(DataPartition::Spilled { file, meta }) => {
+        DataPartition::Spilled { file, meta } => {
             let mut reader = RunReader::new(Arc::clone(file), *meta);
             while let Some((_h, (), record)) = reader.next::<(), I>()? {
                 feed!(&record);
@@ -1323,11 +1079,14 @@ where
     let parts = emitter.buffer.into_parts();
     // File transports: publish this task's output into its own exchange
     // file (and register it with the stage's run server, if remote)
-    // *inside* the timed task — the writing overlaps the map wave, and
-    // the in-memory buffers are freed here instead of being held until
-    // the exchange.
+    // inside the task — the writing overlaps the map wave, and the
+    // in-memory buffers are freed here instead of being held until the
+    // exchange. The publish is file I/O, which the cost model charges
+    // per transported byte, so its time stays out of the CPU sample.
+    let mut publish_time = Duration::ZERO;
     let output = match exchange_dir {
         Some(dir) => {
+            let publish_start = Instant::now();
             let task = task as u64;
             let runs = publish_task(dir, task, parts, spill.as_ref()).map_err(|e| {
                 JobError::Transport {
@@ -1337,6 +1096,7 @@ where
             if let Some(remote) = remote {
                 remote.register(task, &runs);
             }
+            publish_time = publish_start.elapsed();
             MapOutput {
                 runs: Some(runs),
                 parts: Vec::new(),
@@ -1349,7 +1109,7 @@ where
             published: None,
         },
     };
-    let cpu_secs = start.elapsed().as_secs_f64();
+    let cpu_secs = start.elapsed().saturating_sub(publish_time).as_secs_f64();
     let work = task_input + emitted + combine_work + spilled + emitter.work_units;
     Ok(MapTaskOut {
         cpu_secs,
@@ -1368,8 +1128,8 @@ where
 
 /// One reduce task: groups its partition's segments (in-memory, or a
 /// streaming k-way sort-merge when anything spilled) and feeds each key's
-/// values to `reduce`. Returns the measured task plus — for dataset
-/// stages — the finished output partition to deliver downstream. Runs on
+/// values to `reduce`. Returns the measured task plus the finished output
+/// partition (`None` when the task emitted nothing) to deliver. Runs on
 /// a pool worker. `attempt > 0` (a speculative copy) suffixes the merge
 /// scratch and stage-output file names so concurrent attempts never
 /// collide; a losing attempt's files are swept with the job directories.
@@ -1377,14 +1137,13 @@ where
 fn run_reduce_task<'f, I, K, V, O>(
     spec: &StageSpec<'f, I, K, V, O>,
     shuffle: &ShuffleConfig,
-    dataset_sink: bool,
     stage_out_dir: Option<&Path>,
     merge_scratch: Option<&Path>,
     machines: usize,
     partition: usize,
     attempt: usize,
     segments: Vec<Segment<K, V>>,
-) -> Result<(ReduceTaskOut<O>, Option<DataPartition<O>>), JobError>
+) -> Result<(ReduceTaskOut, Option<DataPartition<O>>), JobError>
 where
     K: Hash + Eq + Spill,
     V: Spill,
@@ -1396,6 +1155,7 @@ where
     let mut n_groups = 0u64;
     let mut work = 0u64;
     let mut merge = MergeEffort::default();
+    let mut out_io = Duration::ZERO;
     let start = Instant::now();
     if segments.iter().any(Segment::is_spilled) {
         // External path: stream a k-way sort-merge over the sorted
@@ -1422,7 +1182,14 @@ where
                 work += n_values;
                 (spec.reduce)(&key, values, &mut sink);
                 if let Some(dir) = stage_out_dir {
-                    drain_stage_output(&mut sink, &mut out_writer, dir, partition, attempt)?;
+                    drain_stage_output(
+                        &mut sink,
+                        &mut out_writer,
+                        &mut out_io,
+                        dir,
+                        partition,
+                        attempt,
+                    )?;
                 }
                 Ok(())
             },
@@ -1458,17 +1225,25 @@ where
             work += n_values;
             (spec.reduce)(&key, values, &mut sink);
             if let Some(dir) = stage_out_dir {
-                drain_stage_output(&mut sink, &mut out_writer, dir, partition, attempt)
-                    .map_err(JobError::from)?;
+                drain_stage_output(
+                    &mut sink,
+                    &mut out_writer,
+                    &mut out_io,
+                    dir,
+                    partition,
+                    attempt,
+                )
+                .map_err(JobError::from)?;
             }
         }
     }
-    let cpu_secs = start.elapsed().as_secs_f64();
+    // Stage-output file I/O is not reduce CPU: leave it out of the sample.
+    let cpu_secs = start.elapsed().saturating_sub(out_io).as_secs_f64();
     work += sink.emitted + sink.work_units;
-    let part: Option<DataPartition<O>> = match (dataset_sink, out_writer) {
-        // Bounded dataset stage: the sink was drained after every
-        // group, so the run file *is* the partition.
-        (_, Some(writer)) => {
+    let part: Option<DataPartition<O>> = match out_writer {
+        // Bounded stage: the sink was drained after every group, so the
+        // run file *is* the partition.
+        Some(writer) => {
             let meta = RunMeta {
                 offset: 0,
                 bytes: writer.bytes(),
@@ -1479,11 +1254,9 @@ where
             })?;
             Some(DataPartition::Spilled { file, meta })
         }
-        // Unbounded dataset stage: hand the buffer over as-is.
-        (true, None) if !sink.out.is_empty() => {
-            Some(DataPartition::Mem(std::mem::take(&mut sink.out)))
-        }
-        _ => None,
+        // Unbounded stage: hand the buffer over as-is.
+        None if !sink.out.is_empty() => Some(DataPartition::Mem(std::mem::take(&mut sink.out))),
+        None => None,
     };
     Ok((
         ReduceTaskOut {
@@ -1494,7 +1267,6 @@ where
             max_group,
             merge,
             emitted: sink.emitted,
-            out: sink.out,
             counters: sink.counters,
         },
         part,
@@ -1502,16 +1274,19 @@ where
 }
 
 /// Drains a reduce sink's buffered output records into the task's
-/// stage-output run file (created lazily on first output), so a
-/// dataset-producing reduce task under a bounded shuffle never holds more
+/// stage-output run file (created lazily on first output), so a reduce
+/// task under a bounded shuffle never holds more
 /// than one group's output in memory. Records are framed in the spill
 /// wire format with a zero fingerprint and a unit key — the next stage
-/// streams them back as plain values. I/O failures surface as a
+/// streams them back as plain values. The time spent here, file creation
+/// included, is added to `spent`, so the caller can keep output I/O out
+/// of the task's measured CPU. I/O failures surface as a
 /// [`SpillError`](crate::spill::SpillError), which the job path converts
 /// into [`JobError::Spill`] — a full disk fails the job, not the process.
 fn drain_stage_output<O: Spill>(
     sink: &mut OutputSink<O>,
     writer: &mut Option<SpillWriter>,
+    spent: &mut Duration,
     dir: &Path,
     partition: usize,
     attempt: usize,
@@ -1519,6 +1294,7 @@ fn drain_stage_output<O: Spill>(
     if sink.out.is_empty() {
         return Ok(());
     }
+    let start = Instant::now();
     let writer = match writer.take() {
         Some(w) => writer.insert(w),
         None => {
@@ -1535,6 +1311,7 @@ fn drain_stage_output<O: Spill>(
     for record in sink.out.drain(..) {
         writer.write_record(0u64, &(), &record)?;
     }
+    *spent += start.elapsed();
     Ok(())
 }
 

@@ -48,28 +48,20 @@ use crate::pool::{lock, Pool, SchedulerConfig};
 use crate::report::SimReport;
 use crate::spill::SpillDirGuard;
 
-/// One ready input of a stage's map wave.
-pub(crate) enum MapSource<'a, I> {
-    /// A chunk of a borrowed driver slice (the classic `run*` path).
-    Chunk(&'a [I]),
-    /// A runtime-resident partition: an upstream reduce task's output, a
-    /// materialized dataset partition, or a driver-input chunk lifted into
-    /// the runtime by the dataset layer.
-    Part(DataPartition<I>),
-}
-
 /// What a consumer's `recv` yielded.
-pub(crate) enum Recv<'a, I> {
-    /// One ready map input, tagged with its deterministic ordinal.
-    Item(u64, MapSource<'a, I>),
+pub(crate) enum Recv<I> {
+    /// One ready map input — an upstream reduce task's output, a
+    /// materialized dataset partition, or a driver-input chunk — tagged
+    /// with its deterministic ordinal.
+    Item(u64, DataPartition<I>),
     /// All producers closed; `failed` is true when any of them failed (the
     /// consumer must abort without reporting — the failed producer's slot
     /// carries the error).
     Closed { failed: bool },
 }
 
-struct FeedState<'a, I> {
-    items: VecDeque<(u64, MapSource<'a, I>)>,
+struct FeedState<I> {
+    items: VecDeque<(u64, DataPartition<I>)>,
     open_producers: usize,
     failed: bool,
     /// Driver-resident records entering the runtime through this feed
@@ -83,11 +75,11 @@ struct FeedState<'a, I> {
 /// The typed channel between producer waves and the consumer stage (or
 /// the terminal collector). Cheap to clone; one consumer, any number of
 /// registered producers.
-pub(crate) struct Feed<'a, I> {
-    inner: Arc<(Mutex<FeedState<'a, I>>, Condvar)>,
+pub(crate) struct Feed<I> {
+    inner: Arc<(Mutex<FeedState<I>>, Condvar)>,
 }
 
-impl<I> Clone for Feed<'_, I> {
+impl<I> Clone for Feed<I> {
     fn clone(&self) -> Self {
         Self {
             inner: Arc::clone(&self.inner),
@@ -95,7 +87,7 @@ impl<I> Clone for Feed<'_, I> {
     }
 }
 
-impl<'a, I> Feed<'a, I> {
+impl<I> Feed<I> {
     pub(crate) fn new() -> Self {
         Self {
             inner: Arc::new((
@@ -117,8 +109,8 @@ impl<'a, I> Feed<'a, I> {
     }
 
     /// Delivers one ready map input.
-    pub(crate) fn push(&self, ordinal: u64, source: MapSource<'a, I>) {
-        lock(&self.inner.0).items.push_back((ordinal, source));
+    pub(crate) fn push(&self, ordinal: u64, part: DataPartition<I>) {
+        lock(&self.inner.0).items.push_back((ordinal, part));
         self.inner.1.notify_all();
     }
 
@@ -146,14 +138,14 @@ impl<'a, I> Feed<'a, I> {
     /// Blocks until an item is available, all producers closed, or a
     /// producer failed (failure short-circuits pending items: the graph is
     /// doomed, so the consumer aborts at once).
-    pub(crate) fn recv(&self) -> Recv<'a, I> {
+    pub(crate) fn recv(&self) -> Recv<I> {
         let mut st = lock(&self.inner.0);
         loop {
             if st.failed {
                 return Recv::Closed { failed: true };
             }
-            if let Some((ordinal, source)) = st.items.pop_front() {
-                return Recv::Item(ordinal, source);
+            if let Some((ordinal, part)) = st.items.pop_front() {
+                return Recv::Item(ordinal, part);
             }
             if st.open_producers == 0 {
                 return Recv::Closed { failed: false };
@@ -179,7 +171,7 @@ impl<'a, I> Feed<'a, I> {
     #[allow(clippy::type_complexity)]
     pub(crate) fn drain_terminal(
         &self,
-    ) -> (Vec<(u64, MapSource<'a, I>)>, Vec<Arc<SpillDirGuard>>, u64) {
+    ) -> (Vec<(u64, DataPartition<I>)>, Vec<Arc<SpillDirGuard>>, u64) {
         let mut st = lock(&self.inner.0);
         (
             std::mem::take(&mut st.items).into(),

@@ -1,20 +1,21 @@
 //! Dataset handles: lazy job graphs chaining pipeline stages inside the
 //! runtime.
 //!
-//! The classic [`Cluster::run*`](crate::cluster::Cluster::run) entry
-//! points materialize every job's output as one driver-side `Vec` — fine
-//! for a single job, but a multi-stage pipeline chained through such
-//! `Vec`s holds every intermediate candidate set in driver memory no
-//! matter how tightly the [`ShuffleConfig`](crate::shuffle::ShuffleConfig)
-//! bounds the workers. A [`Dataset`] is the runtime-resident alternative
-//! (the same move Spark-style dataflow engines make over raw MapReduce):
+//! A [`Dataset`] is the only way to run a job: a single MapReduce job is
+//! the one-stage graph, and a multi-stage pipeline chains its stages
+//! *inside* the runtime instead of through driver-side `Vec`s, which
+//! would hold every intermediate candidate set in driver memory no matter
+//! how tightly the [`ShuffleConfig`](crate::shuffle::ShuffleConfig)
+//! bounds the workers (the same move Spark-style dataflow engines make
+//! over raw MapReduce):
 //!
 //! * [`Cluster::input`] lifts a driver slice into a handle;
 //! * [`Dataset::map_reduce`] / [`Dataset::map_reduce_combined`] (and
-//!   their `_with_group_overhead` variants) **record one stage in a job
-//!   DAG without executing it**; [`Dataset::union`] concatenates two
-//!   graphs' output partitions, and [`Dataset::repartition`] records a
-//!   key-hash re-routing stage for skewed stage outputs;
+//!   [`Dataset::map_reduce_combined_with_group_overhead`]) **record one
+//!   stage in a job DAG without executing it**; [`Dataset::union`]
+//!   concatenates two graphs' output partitions, and
+//!   [`Dataset::repartition`] records a key-hash re-routing stage for
+//!   skewed stage outputs;
 //! * a terminal — [`Dataset::collect`], the streaming
 //!   [`Dataset::for_each_output`], or [`Dataset::take_report`] — executes
 //!   the recorded graph. The executor (the private `dag` module) runs every pending
@@ -95,11 +96,10 @@ use std::hash::Hash;
 use std::sync::Arc;
 
 use crate::cluster::{
-    catch_panic, run_stage_streamed, Cluster, CombineFn, MapFn, ReduceFn, StageFailure, StageSink,
-    StageSpec,
+    catch_panic, run_stage_streamed, Cluster, CombineFn, MapFn, ReduceFn, StageFailure, StageSpec,
 };
 use crate::dag::analyze::{analyze_plan, partition_skew, NodeKind, PlanCheck, StageInfo};
-use crate::dag::{self, Builder, Feed, MapSource, StatsSlot};
+use crate::dag::{self, Builder, Feed, StatsSlot};
 use crate::hash::fingerprint64;
 use crate::job::{Emitter, JobError, OutputSink};
 use crate::report::SimReport;
@@ -224,7 +224,7 @@ trait PlanNode<'a, T>: Send {
         self: Box<Self>,
         cluster: &'a Cluster,
         b: &mut Builder<'a>,
-        out: Feed<'a, T>,
+        out: Feed<T>,
         consumer: Option<usize>,
     );
 }
@@ -232,9 +232,9 @@ trait PlanNode<'a, T>: Send {
 /// Where a dataset's records currently live (or how to compute them).
 enum Plan<'a, T> {
     /// Driver memory, not yet through any stage ([`Cluster::input`]). The
-    /// first stage chunks it exactly like the classic `run*` path (one map
-    /// task per simulated machine) and books the records as
-    /// `driver_in_records`.
+    /// first stage chunks it into one map task per simulated machine
+    /// (capped by the record count; none when empty) and books the records
+    /// as `driver_in_records`.
     Input(Vec<T>),
     /// Partitioned output of already-executed stages, resident in the
     /// runtime (a forced prefix, or [`DatasetMode::Eager`]).
@@ -327,7 +327,7 @@ where
         self: Box<Self>,
         cluster: &'a Cluster,
         b: &mut Builder<'a>,
-        out: Feed<'a, O>,
+        out: Feed<O>,
         consumer: Option<usize>,
     ) {
         let base = b.next_base();
@@ -342,7 +342,7 @@ where
             }),
             consumer,
         );
-        let input: Feed<'a, I> = Feed::new();
+        let input: Feed<I> = Feed::new();
         build_plan(self.child, cluster, b, input.clone(), Some(node));
         // Slot allocated after the subtree's: slot order = execution
         // (topological) order, which is what the report shows.
@@ -356,21 +356,11 @@ where
         let priority = b.depth_of(node);
         b.thunks.push(Box::new(move |pool| {
             let result = catch_panic("stage", || {
-                run_stage_streamed(
-                    cluster,
-                    spec,
-                    priority,
-                    input,
-                    StageSink::Feed {
-                        feed: out.clone(),
-                        base,
-                    },
-                    pool,
-                )
+                run_stage_streamed(cluster, spec, priority, input, out.clone(), base, pool)
             });
             let ok = match result {
-                Ok(r) => {
-                    slot.set(Ok(r.stats));
+                Ok(stats) => {
+                    slot.set(Ok(stats));
                     true
                 }
                 Err(StageFailure::Job(e)) => {
@@ -456,7 +446,7 @@ fn build_plan<'a, T: Send + Sync + Spill + 'a>(
     plan: Plan<'a, T>,
     cluster: &'a Cluster,
     b: &mut Builder<'a>,
-    out: Feed<'a, T>,
+    out: Feed<T>,
     consumer: Option<usize>,
 ) {
     match plan {
@@ -464,8 +454,7 @@ fn build_plan<'a, T: Send + Sync + Spill + 'a>(
             let base = b.next_base();
             out.register_producer();
             out.add_driver_in(records.len() as u64);
-            // Chunk exactly like the classic driver-slice path, so a
-            // lifted input sees the same map-task layout either way.
+            // The same chunking `num_partitions` reports for this input.
             let (tasks, chunk) = cluster.slice_chunking(records.len());
             b.add_node(
                 NodeKind::Input {
@@ -479,7 +468,7 @@ fn build_plan<'a, T: Send + Sync + Spill + 'a>(
             while !records.is_empty() {
                 let tail = records.split_off(chunk.min(records.len()));
                 let head = std::mem::replace(&mut records, tail);
-                out.push(base | idx, MapSource::Part(DataPartition::Mem(head)));
+                out.push(base | idx, DataPartition::Mem(head));
                 idx += 1;
             }
             out.close_producer(true);
@@ -504,7 +493,7 @@ fn build_plan<'a, T: Send + Sync + Spill + 'a>(
             }
             for (idx, part) in parts.into_iter().enumerate() {
                 if part.records() > 0 {
-                    out.push(base | idx as u64, MapSource::Part(part));
+                    out.push(base | idx as u64, part);
                 }
             }
             out.close_producer(true);
@@ -543,7 +532,7 @@ fn execute_plan<'a, T: Send + Sync + Spill + 'a>(
     plan: Plan<'a, T>,
 ) -> Result<Executed<T>, JobError> {
     let mut b = Builder::new();
-    let out: Feed<'a, T> = Feed::new();
+    let out: Feed<T> = Feed::new();
     build_plan(plan, cluster, &mut b, out.clone(), None);
     // Analyze the lowered graph before anything runs: in deny mode a
     // diagnosed plan fails here (no driver threads have started, so
@@ -562,23 +551,27 @@ fn execute_plan<'a, T: Send + Sync + Spill + 'a>(
     report.add_plan_diagnostics(diagnostics);
     let (mut items, guards, driver_pending) = out.drain_terminal();
     items.sort_unstable_by_key(|(ordinal, _)| *ordinal);
-    let parts = items
-        .into_iter()
-        .map(|(_, source)| match source {
-            MapSource::Part(part) => part,
-            // Chunk sources exist only on the classic `run*` path, which
-            // never flows through a plan.
-            // tsjlint:allow(no-panic-in-data-plane) plan feeds never carry Chunk sources
-            MapSource::Chunk(_) => unreachable!("plan feeds carry partitions"),
-        })
-        .collect();
+    let parts = items.into_iter().map(|(_, part)| part).collect();
     Ok((parts, guards, driver_pending, report))
 }
 
 impl<'a, T: Send + Sync + Spill + 'a> Dataset<'a, T> {
     /// Records one MapReduce stage over this dataset; the stage executes
     /// at the next terminal, and its output stays partitioned in the
-    /// runtime (see the [module docs](self)).
+    /// runtime (see the [module docs](self)). Sec. III-A semantics:
+    ///
+    /// * `map` is applied to every input record, emitting `⟨key2, value2⟩`
+    ///   pairs into the [`Emitter`], which routes each pair to its shuffle
+    ///   partition `HASH(key2) % partitions` at emit time.
+    /// * Each partition is reduced by exactly one reduce task, which
+    ///   groups pairs by key; each key's values are handed to `reduce`
+    ///   exactly once, on the simulated machine `partition % machines`.
+    /// * Output order across groups is unspecified (as on a real cluster),
+    ///   but deterministic given the input and the partition count —
+    ///   independent of the real thread count.
+    ///
+    /// Simulated time = job startup + map makespan + shuffle + reduce
+    /// makespan; see [`CostModel`](crate::cluster::CostModel).
     ///
     /// Under [`DatasetMode::Lazy`] (the default) this cannot fail — the
     /// `Result` carries execution errors only in eager mode, where the
@@ -608,9 +601,15 @@ impl<'a, T: Send + Sync + Spill + 'a> Dataset<'a, T> {
         )
     }
 
-    /// [`Dataset::map_reduce`] with a map-side [`Combiner`] (same contract
-    /// as [`Cluster::run_combined`](crate::cluster::Cluster::run_combined);
-    /// the combiner is cloned into the recorded stage).
+    /// [`Dataset::map_reduce`] with a map-side [`Combiner`]: each map task
+    /// folds its emitted values per key through `combiner` before the
+    /// shuffle, and the shuffle is charged on the post-combine record count
+    /// ([`JobStats::shuffle_records`]). The reducer must be insensitive to
+    /// the partial aggregation (see the [`Combiner`] contract) — given
+    /// that, output is identical to [`Dataset::map_reduce`] with the same
+    /// `map`/`reduce`. The combiner is cloned into the recorded stage.
+    ///
+    /// [`JobStats::shuffle_records`]: crate::job::JobStats::shuffle_records
     pub fn map_reduce_combined<K, V, O, M, C, R>(
         self,
         name: &str,
@@ -640,36 +639,10 @@ impl<'a, T: Send + Sync + Spill + 'a> Dataset<'a, T> {
         )
     }
 
-    /// [`Dataset::map_reduce`] with an explicit per-reduce-group worker
-    /// overhead (verification stages; see
-    /// [`Cluster::run_with_group_overhead`](crate::cluster::Cluster::run_with_group_overhead)).
-    pub fn map_reduce_with_group_overhead<K, V, O, M, R>(
-        self,
-        name: &str,
-        group_overhead_secs: f64,
-        map: M,
-        reduce: R,
-    ) -> Result<Dataset<'a, O>, JobError>
-    where
-        K: Hash + Eq + Send + Spill + 'a,
-        V: Send + Spill + 'a,
-        O: Send + Sync + Spill + 'a,
-        M: Fn(&T, &mut Emitter<K, V>) + Send + Sync + 'a,
-        R: Fn(&K, Vec<V>, &mut OutputSink<O>) + Send + Sync + 'a,
-    {
-        self.stage(
-            name,
-            group_overhead_secs,
-            None,
-            false,
-            Box::new(map),
-            None,
-            Box::new(reduce),
-        )
-    }
-
     /// [`Dataset::map_reduce_combined`] with an explicit per-reduce-group
-    /// worker overhead.
+    /// worker overhead — used by verification stages, whose work units are
+    /// the workers the paper's dedup-strategy analysis counts (Sec. III-G3
+    /// / Fig. 1).
     pub fn map_reduce_combined_with_group_overhead<K, V, O, M, C, R>(
         self,
         name: &str,
@@ -908,9 +881,9 @@ impl<'a, T: Send + Sync + Spill + 'a> Dataset<'a, T> {
         })
     }
 
-    /// Partition count (0 for a collected-empty stage output; driver
-    /// inputs report the chunk count their first stage will use).
-    /// Executes any pending stages first.
+    /// Partition count (0 for an empty stage output or an empty driver
+    /// input; other driver inputs report the chunk count their first stage
+    /// will use). Executes any pending stages first.
     pub fn num_partitions(&mut self) -> Result<usize, JobError> {
         self.force()?;
         Ok(match &self.plan {

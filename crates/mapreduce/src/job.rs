@@ -267,18 +267,17 @@ pub struct JobStats {
     /// Records emitted by reducers.
     pub output_records: u64,
     /// Records that crossed from driver memory into the runtime to feed
-    /// this job's map wave: the input length for jobs fed a driver slice
-    /// ([`Cluster::run*`](crate::cluster::Cluster::run) and the first
-    /// stage after [`Cluster::input`](crate::cluster::Cluster::input)),
-    /// zero for fused interior stages of a
+    /// this job's map wave: the input length for the first stage after
+    /// [`Cluster::input`](crate::cluster::Cluster::input), zero for fused
+    /// interior stages of a
     /// [`Dataset`](crate::dataset::Dataset) graph, whose map tasks stream
     /// the previous stage's partition segments runtime-side.
     pub driver_in_records: u64,
-    /// Records this job's reduce wave handed back to driver memory: the
-    /// output length for `Cluster::run*` jobs, zero for dataset stages
-    /// (whose output stays partitioned in the runtime until
-    /// [`Dataset::collect`](crate::dataset::Dataset::collect) — which
-    /// books the crossing onto its producing job when it happens).
+    /// Records this job's reduce wave handed back to driver memory: zero
+    /// while its output stays partitioned in the runtime, until
+    /// [`Dataset::collect`](crate::dataset::Dataset::collect) books the
+    /// crossing onto its producing job (the output length, for the last
+    /// stage of a collected graph).
     pub driver_out_records: u64,
     /// Map-phase simulated timing.
     pub map: PhaseSim,
@@ -336,15 +335,6 @@ impl JobStats {
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
     }
-}
-
-/// A completed job: its output records plus measured statistics.
-#[derive(Debug)]
-pub struct JobResult<O> {
-    /// All reducer outputs, concatenated in partition order.
-    pub output: Vec<O>,
-    /// Measured statistics.
-    pub stats: JobStats,
 }
 
 #[cfg(test)]

@@ -36,17 +36,15 @@
 //! reduce: ⟨key2, [value2]⟩      → [value3]
 //! ```
 //!
-//! See [`Cluster::run`] for the single-job entry point, [`JobStats`] for
-//! what gets measured, and [`SimReport`] for aggregating a multi-job
-//! pipeline. Multi-stage pipelines should chain through the [`dataset`]
-//! layer ([`Cluster::input`] → [`Dataset::map_reduce`] → … →
-//! [`Dataset::collect`]), which records a *lazy job DAG*: interior stage
-//! output stays partitioned inside the runtime instead of materializing
-//! in driver memory, and the terminal executes the whole graph with
-//! partition-level cross-stage overlap on one shared worker pool (an
-//! upstream reduce task finishing a partition immediately readies the
-//! downstream map task for it). The `run*` entry points are the one-stage
-//! special case of the same streaming engine.
+//! Every job runs through the [`dataset`] layer ([`Cluster::input`] →
+//! [`Dataset::map_reduce`] → … → [`Dataset::collect`]); a single job is
+//! the one-stage graph, and [`SimReport::jobs`] holds its [`JobStats`]
+//! (what gets measured). The layer records a *lazy job DAG*: interior
+//! stage output stays partitioned inside the runtime instead of
+//! materializing in driver memory, and the terminal executes the whole
+//! graph with partition-level cross-stage overlap on one shared worker
+//! pool (an upstream reduce task finishing a partition immediately
+//! readies the downstream map task for it).
 //!
 //! Every lowered dataset graph is structurally analyzed before execution
 //! ([`analyze_plan`]): unreachable stages, statically empty inputs,
@@ -74,7 +72,7 @@ pub use dag::analyze::{
 };
 pub use dataset::{DataPartition, Dataset, DatasetMode};
 pub use hash::{fingerprint64, fingerprint_str, FxBuildHasher, FxHasher};
-pub use job::{Emitter, JobError, JobResult, JobStats, OutputSink, PhaseSim};
+pub use job::{Emitter, JobError, JobStats, OutputSink, PhaseSim};
 pub use pool::{SchedulerConfig, SchedulerMode, StraggleInjection};
 pub use report::SimReport;
 pub use shuffle::{

@@ -42,7 +42,10 @@ impl SimReport {
         self.jobs.iter().map(|j| j.sim_total_secs).sum()
     }
 
-    /// Total real wall-clock spent executing locally.
+    /// Sum of the jobs' real per-stage wall-clock times. Under
+    /// [`DatasetMode::Lazy`](crate::dataset::DatasetMode::Lazy) stages
+    /// overlap, so the sum can exceed the elapsed time of the run; it
+    /// approximates elapsed time only for stage-at-a-time execution.
     pub fn total_wall_secs(&self) -> f64 {
         self.jobs.iter().map(|j| j.wall_secs).sum()
     }
@@ -138,8 +141,9 @@ impl SimReport {
         self.jobs.iter().map(|j| j.speculative_won).sum()
     }
 
-    /// Total microseconds tasks spent queued before a worker picked them
-    /// up, across all jobs.
+    /// Sum of every task's queue wait (microseconds between submission and
+    /// a worker picking it up) across all jobs. Tasks wait concurrently,
+    /// so this is a total of per-task waits, not a span of wall-clock.
     pub fn total_queue_wait_us(&self) -> u64 {
         self.jobs.iter().map(|j| j.queue_wait_us).sum()
     }

@@ -2,7 +2,10 @@
 //! map/shuffle/reduce semantics, the simulated clock's qualitative
 //! behaviour (scaling, skew), and failure injection.
 
-use tsj_mapreduce::{Cluster, ClusterConfig, CostModel, Emitter, JobError, OutputSink};
+mod helpers;
+
+use helpers::CollectJob;
+use tsj_mapreduce::{Cluster, ClusterConfig, CostModel, Emitter, JobError, OutputSink, PlanCheck};
 
 fn test_cluster(machines: usize) -> Cluster {
     Cluster::new(ClusterConfig {
@@ -31,9 +34,9 @@ fn word_count() {
         "the quick dog".to_owned(),
     ];
     let result = test_cluster(8)
-        .run(
+        .input(&docs)
+        .map_reduce(
             "wordcount",
-            &docs,
             |doc: &String, e: &mut Emitter<String, u64>| {
                 for w in doc.split_whitespace() {
                     e.emit(w.to_owned(), 1);
@@ -43,6 +46,7 @@ fn word_count() {
                 out.emit((word.clone(), counts.iter().sum()));
             },
         )
+        .collect_job()
         .unwrap();
 
     let mut counts = result.output;
@@ -68,13 +72,17 @@ fn word_count() {
 #[test]
 fn empty_input_runs_cleanly() {
     let input: Vec<u32> = vec![];
+    // The plan analyzer flags a statically empty input (`empty-input`);
+    // pin warn so `TSJ_PLAN_CHECK=deny` cannot turn that into a failure.
     let r = test_cluster(4)
-        .run(
+        .with_plan_check(PlanCheck::Warn)
+        .input(&input)
+        .map_reduce(
             "empty",
-            &input,
             |_: &u32, _: &mut Emitter<u32, u32>| {},
             |_: &u32, _: Vec<u32>, _: &mut OutputSink<u32>| {},
         )
+        .collect_job()
         .unwrap();
     assert!(r.output.is_empty());
     assert_eq!(r.stats.reduce_groups, 0);
@@ -84,14 +92,15 @@ fn empty_input_runs_cleanly() {
 fn values_reach_reducer_grouped_by_key() {
     let input: Vec<u64> = (0..1000).collect();
     let r = test_cluster(16)
-        .run(
+        .input(&input)
+        .map_reduce(
             "group",
-            &input,
             |n: &u64, e: &mut Emitter<u64, u64>| e.emit(n % 7, *n),
             |k: &u64, vs: Vec<u64>, out: &mut OutputSink<(u64, usize, u64)>| {
                 out.emit((*k, vs.len(), vs.iter().sum()));
             },
         )
+        .collect_job()
         .unwrap();
     assert_eq!(r.output.len(), 7);
     let mut out = r.output;
@@ -107,9 +116,9 @@ fn values_reach_reducer_grouped_by_key() {
 fn counters_aggregate_across_phases() {
     let input: Vec<u32> = (0..100).collect();
     let r = test_cluster(4)
-        .run(
+        .input(&input)
+        .map_reduce(
             "counters",
-            &input,
             |n: &u32, e: &mut Emitter<u32, u32>| {
                 e.add_counter("mapped", 1);
                 if n.is_multiple_of(2) {
@@ -121,6 +130,7 @@ fn counters_aggregate_across_phases() {
                 out.emit(vs[0]);
             },
         )
+        .collect_job()
         .unwrap();
     assert_eq!(r.stats.counter("mapped"), 100);
     assert_eq!(r.stats.counter("reduced_values"), 50);
@@ -130,9 +140,9 @@ fn counters_aggregate_across_phases() {
 fn map_panic_surfaces_as_job_error() {
     let input: Vec<u32> = (0..64).collect();
     let err = test_cluster(4)
-        .run(
+        .input(&input)
+        .map_reduce(
             "bad-map",
-            &input,
             |n: &u32, _: &mut Emitter<u32, u32>| {
                 if *n == 33 {
                     panic!("poison record {n}");
@@ -140,6 +150,7 @@ fn map_panic_surfaces_as_job_error() {
             },
             |_: &u32, _: Vec<u32>, _: &mut OutputSink<u32>| {},
         )
+        .collect_job()
         .unwrap_err();
     match err {
         JobError::WorkerPanic { phase, message } => {
@@ -154,9 +165,9 @@ fn map_panic_surfaces_as_job_error() {
 fn reduce_panic_surfaces_as_job_error() {
     let input: Vec<u32> = (0..64).collect();
     let err = test_cluster(4)
-        .run(
+        .input(&input)
+        .map_reduce(
             "bad-reduce",
-            &input,
             |n: &u32, e: &mut Emitter<u32, u32>| e.emit(*n, *n),
             |k: &u32, _: Vec<u32>, _: &mut OutputSink<u32>| {
                 if *k == 7 {
@@ -164,6 +175,7 @@ fn reduce_panic_surfaces_as_job_error() {
                 }
             },
         )
+        .collect_job()
         .unwrap_err();
     match err {
         JobError::WorkerPanic { phase, .. } => assert_eq!(phase, "reduce"),
@@ -194,9 +206,9 @@ fn simulated_time_scales_down_with_machines() {
             },
         });
         cluster
-            .run(
+            .input(&input)
+            .map_reduce(
                 "scale",
-                &input,
                 |n: &u64, e: &mut Emitter<u64, u64>| {
                     // Busy work so the measured CPU time is non-trivial.
                     let mut acc = *n;
@@ -209,6 +221,7 @@ fn simulated_time_scales_down_with_machines() {
                     out.emit(vs.iter().copied().fold(0, u64::wrapping_add));
                 },
             )
+            .collect_job()
             .unwrap()
             .stats
     };
@@ -233,9 +246,9 @@ fn hot_key_shows_up_as_reduce_skew() {
     let input: Vec<u64> = (0..2000).collect();
     let run_with_keys = |hot: bool| {
         test_cluster(64)
-            .run(
+            .input(&input)
+            .map_reduce(
                 "skew",
-                &input,
                 move |n: &u64, e: &mut Emitter<u64, u64>| {
                     // hot: 50% of records share one key; uniform otherwise.
                     let key = if hot && n.is_multiple_of(2) {
@@ -256,6 +269,7 @@ fn hot_key_shows_up_as_reduce_skew() {
                     out.emit(acc);
                 },
             )
+            .collect_job()
             .unwrap()
             .stats
     };
@@ -292,12 +306,16 @@ fn group_overhead_charges_per_group() {
                 work_unit_secs: 0.0,
             },
         })
-        .run(
+        // Uncombined `()` values raise the warn-level
+        // `uncombined-dedup-foldable` diagnostic; this job wants them.
+        .with_plan_check(PlanCheck::Warn)
+        .input(&input)
+        .map_reduce(
             "overhead",
-            &input,
             |n: &u64, e: &mut Emitter<u64, ()>| e.emit(*n, ()),
             |_: &u64, _: Vec<()>, out: &mut OutputSink<()>| out.emit(()),
         )
+        .collect_job()
         .unwrap()
         .stats
     };
@@ -316,15 +334,16 @@ fn deterministic_output_multiset_across_runs() {
     let input: Vec<u64> = (0..3000).collect();
     let run = || {
         let mut out = test_cluster(32)
-            .run(
+            .input(&input)
+            .map_reduce(
                 "det",
-                &input,
                 |n: &u64, e: &mut Emitter<u64, u64>| e.emit(n % 97, n * 3),
                 |k: &u64, mut vs: Vec<u64>, out: &mut OutputSink<(u64, u64)>| {
                     vs.sort_unstable();
                     out.emit((*k, vs.iter().fold(0, |a, b| a ^ b)));
                 },
             )
+            .collect_job()
             .unwrap()
             .output;
         out.sort_unstable();
@@ -350,9 +369,15 @@ fn combined_wordcount_matches_plain_and_shrinks_shuffle() {
         out.emit((word.clone(), counts.iter().sum()));
     };
     let cluster = test_cluster(8);
-    let plain = cluster.run("wc.plain", &docs, map, reduce).unwrap();
+    let plain = cluster
+        .input(&docs)
+        .map_reduce("wc.plain", map, reduce)
+        .collect_job()
+        .unwrap();
     let combined = cluster
-        .run_combined("wc.combined", &docs, map, &Count, reduce)
+        .input(&docs)
+        .map_reduce_combined("wc.combined", map, &Count, reduce)
+        .collect_job()
         .unwrap();
 
     let sort = |mut v: Vec<(String, u64)>| {
@@ -403,9 +428,15 @@ fn shuffle_cost_charged_on_post_combine_records() {
     let reduce = |_: &u64, vs: Vec<u64>, out: &mut OutputSink<u64>| {
         out.emit(vs.iter().sum());
     };
-    let plain = cluster.run("cost.plain", &input, map, reduce).unwrap();
+    let plain = cluster
+        .input(&input)
+        .map_reduce("cost.plain", map, reduce)
+        .collect_job()
+        .unwrap();
     let combined = cluster
-        .run_combined("cost.combined", &input, map, &Count, reduce)
+        .input(&input)
+        .map_reduce_combined("cost.combined", map, &Count, reduce)
+        .collect_job()
         .unwrap();
     assert!((plain.stats.shuffle_secs - 1000.0 / 4.0).abs() < 1e-9);
     let expected = combined.stats.shuffle_records as f64 / 4.0;
@@ -435,9 +466,15 @@ fn dedup_combiner_preserves_distinct_values() {
         out.emit((*k, distinct));
     };
     let cluster = test_cluster(16);
-    let plain = cluster.run("dedup.plain", &input, map, reduce).unwrap();
+    let plain = cluster
+        .input(&input)
+        .map_reduce("dedup.plain", map, reduce)
+        .collect_job()
+        .unwrap();
     let combined = cluster
-        .run_combined("dedup.combined", &input, map, &Dedup, reduce)
+        .input(&input)
+        .map_reduce_combined("dedup.combined", map, &Dedup, reduce)
+        .collect_job()
         .unwrap();
     let sort = |mut v: Vec<(u64, Vec<u64>)>| {
         v.sort();
@@ -456,9 +493,15 @@ fn min_combiner_matches_uncombined_min() {
         out.emit((*k, vs.into_iter().min().unwrap()));
     };
     let cluster = test_cluster(8);
-    let plain = cluster.run("min.plain", &input, map, reduce).unwrap();
+    let plain = cluster
+        .input(&input)
+        .map_reduce("min.plain", map, reduce)
+        .collect_job()
+        .unwrap();
     let combined = cluster
-        .run_combined("min.combined", &input, map, &Min, reduce)
+        .input(&input)
+        .map_reduce_combined("min.combined", map, &Min, reduce)
+        .collect_job()
         .unwrap();
     let sort = |mut v: Vec<(u64, u64)>| {
         v.sort_unstable();
@@ -479,15 +522,16 @@ fn output_identical_across_threads_and_partitions() {
             cost: CostModel::default(),
         });
         let mut out = cluster
-            .run_combined(
+            .input(&input)
+            .map_reduce_combined(
                 "invariance",
-                &input,
                 |n: &u64, e: &mut Emitter<u64, u64>| e.emit(n % 211, 1),
                 &Count,
                 |k: &u64, vs: Vec<u64>, out: &mut OutputSink<(u64, u64)>| {
                     out.emit((*k, vs.iter().sum()));
                 },
             )
+            .collect_job()
             .unwrap()
             .output;
         out.sort_unstable();
@@ -519,14 +563,15 @@ fn thread_count_does_not_change_output_order_either() {
             partitions: 0,
             cost: CostModel::default(),
         })
-        .run(
+        .input(&input)
+        .map_reduce(
             "order",
-            &input,
             |n: &u64, e: &mut Emitter<u64, u64>| e.emit(n % 97, *n),
             |k: &u64, vs: Vec<u64>, out: &mut OutputSink<(u64, u64)>| {
                 out.emit((*k, vs.iter().copied().fold(0, u64::wrapping_add)));
             },
         )
+        .collect_job()
         .unwrap()
         .output
     };

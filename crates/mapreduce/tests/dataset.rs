@@ -10,8 +10,10 @@ use std::path::PathBuf;
 
 mod helpers;
 
+use helpers::CollectJob;
+
 use tsj_mapreduce::{
-    Cluster, ClusterConfig, Count, DatasetMode, Dedup, Emitter, JobError, OutputSink,
+    Cluster, ClusterConfig, Count, DatasetMode, Dedup, Emitter, JobError, OutputSink, PlanCheck,
     ShuffleConfig, Transport,
 };
 
@@ -59,13 +61,14 @@ fn chained(c: &Cluster, docs: &[String]) -> (Vec<(u64, u64)>, tsj_mapreduce::Sim
     (out, report)
 }
 
-/// The same two jobs chained through a driver `Vec` (the classic `run*`
-/// wrappers) — the reference the dataset graph must match.
+/// The same two jobs as two separate one-stage graphs joined by a driver
+/// `Vec` (`collect`, then `input_vec`) — the reference the chained graph
+/// must match.
 fn collected(c: &Cluster, docs: &[String]) -> Vec<(u64, u64)> {
-    let counts = c
-        .run_combined(
+    let (counts, _) = c
+        .input(docs)
+        .map_reduce_combined(
             "wordcount",
-            docs,
             |doc: &String, e: &mut Emitter<String, u64>| {
                 for w in doc.split_whitespace() {
                     e.emit(w.to_owned(), 1);
@@ -76,11 +79,13 @@ fn collected(c: &Cluster, docs: &[String]) -> Vec<(u64, u64)> {
                 out.emit((w.clone(), counts.iter().sum()));
             },
         )
+        .unwrap()
+        .collect()
         .unwrap();
-    let mut out = c
-        .run_combined(
+    let (mut out, _) = c
+        .input_vec(counts)
+        .map_reduce_combined(
             "histogram",
-            &counts.output,
             |&(_, n): &(String, u64), e: &mut Emitter<u64, u64>| e.emit(n, 1),
             &Count,
             |&n: &u64, ones: Vec<u64>, out: &mut OutputSink<(u64, u64)>| {
@@ -88,7 +93,8 @@ fn collected(c: &Cluster, docs: &[String]) -> Vec<(u64, u64)> {
             },
         )
         .unwrap()
-        .output;
+        .collect()
+        .unwrap();
     out.sort_unstable();
     out
 }
@@ -436,6 +442,42 @@ fn empty_input_chains_cleanly() {
 }
 
 #[test]
+fn empty_input_has_no_partitions_and_runs_one_empty_job() {
+    // A driver input chunks into one map task per machine, capped by its
+    // records — so an empty one has no tasks, and reports no partitions.
+    let c = cluster(4, 0, ShuffleConfig::unbounded()).with_plan_check(PlanCheck::Warn);
+    let empty: Vec<u64> = Vec::new();
+    assert_eq!(c.input(&empty).num_partitions().unwrap(), 0);
+    assert_eq!(c.input(&[1u64, 2, 3]).num_partitions().unwrap(), 3);
+    assert_eq!(c.input(&docs(100)).num_partitions().unwrap(), 8);
+
+    let (out, report) = c
+        .input(&empty)
+        .map_reduce(
+            "over-empty",
+            |&n: &u64, e: &mut Emitter<u64, u64>| e.emit(n, n),
+            |&k: &u64, _vs: Vec<u64>, out: &mut OutputSink<u64>| out.emit(k),
+        )
+        .unwrap()
+        .collect()
+        .unwrap();
+    assert!(out.is_empty());
+    assert_eq!(report.jobs().len(), 1);
+    let job = &report.jobs()[0];
+    assert_eq!(job.input_records, 0);
+    assert_eq!(job.reduce_groups, 0);
+    assert_eq!(job.driver_out_records, 0);
+    assert!(
+        report
+            .plan_diagnostics()
+            .iter()
+            .any(|d| d.code() == "empty-input"),
+        "{:?}",
+        report.plan_diagnostics()
+    );
+}
+
+#[test]
 fn dedup_combiner_composes_with_chaining() {
     // A Dedup-combined interior stage (the TSJ candidate shape): pairs
     // keyed on themselves, deduplicated map-side and reduce-side.
@@ -604,9 +646,9 @@ fn failing_jobs_leave_the_spill_dir_empty() {
 
     // Map-wave failure.
     let err = c
-        .run(
+        .input(&ids)
+        .map_reduce(
             "map-dies",
-            &ids,
             |&n: &u64, e: &mut Emitter<u64, u64>| {
                 if n == 150 {
                     panic!("map poison");
@@ -615,14 +657,15 @@ fn failing_jobs_leave_the_spill_dir_empty() {
             },
             |&k: &u64, _vs: Vec<u64>, out: &mut OutputSink<u64>| out.emit(k),
         )
+        .collect_job()
         .expect_err("map panic must fail the job");
     assert!(matches!(err, JobError::WorkerPanic { phase: "map", .. }));
 
     // Reduce-wave failure (spilled runs + exchange files exist by then).
     let err = c
-        .run(
+        .input(&ids)
+        .map_reduce(
             "reduce-dies",
-            &ids,
             |&n: &u64, e: &mut Emitter<u64, u64>| e.emit(n % 7, n),
             |&k: &u64, _vs: Vec<u64>, _out: &mut OutputSink<u64>| {
                 if k == 3 {
@@ -630,6 +673,7 @@ fn failing_jobs_leave_the_spill_dir_empty() {
                 }
             },
         )
+        .collect_job()
         .expect_err("reduce panic must fail the job");
     assert!(matches!(
         err,

@@ -5,6 +5,9 @@
 
 use std::path::PathBuf;
 
+mod helpers;
+
+use helpers::{CollectJob, Job};
 use tsj_mapreduce::{
     Cluster, ClusterConfig, Count, Dedup, Emitter, JobError, OutputSink, ShuffleConfig,
 };
@@ -27,21 +30,22 @@ fn wordcount_docs(n: usize) -> Vec<String> {
         .collect()
 }
 
-fn wordcount(c: &Cluster, docs: &[String]) -> tsj_mapreduce::JobResult<(String, u64)> {
-    c.run_combined(
-        "spill.wordcount",
-        docs,
-        |doc: &String, e: &mut Emitter<String, u64>| {
-            for w in doc.split_whitespace() {
-                e.emit(w.to_owned(), 1);
-            }
-        },
-        &Count,
-        |w: &String, counts: Vec<u64>, out: &mut OutputSink<(String, u64)>| {
-            out.emit((w.clone(), counts.iter().sum()));
-        },
-    )
-    .unwrap()
+fn wordcount(c: &Cluster, docs: &[String]) -> Job<(String, u64)> {
+    c.input(docs)
+        .map_reduce_combined(
+            "spill.wordcount",
+            |doc: &String, e: &mut Emitter<String, u64>| {
+                for w in doc.split_whitespace() {
+                    e.emit(w.to_owned(), 1);
+                }
+            },
+            &Count,
+            |w: &String, counts: Vec<u64>, out: &mut OutputSink<(String, u64)>| {
+                out.emit((w.clone(), counts.iter().sum()));
+            },
+        )
+        .collect_job()
+        .unwrap()
 }
 
 fn sorted<T: Ord>(mut v: Vec<T>) -> Vec<T> {
@@ -102,14 +106,15 @@ fn spill_threshold_bounds_mappers_even_without_a_combiner() {
     let run = |shuffle: ShuffleConfig| {
         cluster(16, 4, 0)
             .with_shuffle_config(shuffle)
-            .run(
+            .input(&input)
+            .map_reduce(
                 "spill.nocombiner",
-                &input,
                 |n: &u64, e: &mut Emitter<u64, u64>| e.emit(n % 701, *n),
                 |k: &u64, vs: Vec<u64>, out: &mut OutputSink<(u64, u64)>| {
                     out.emit((*k, vs.iter().copied().fold(0, u64::wrapping_add)));
                 },
             )
+            .collect_job()
             .unwrap()
     };
     let unbounded = run(ShuffleConfig::unbounded());
@@ -135,9 +140,9 @@ fn burst_emitting_mapper_is_still_bounded() {
     let input: Vec<u64> = (0..8).collect();
     let bounded = cluster(4, 2, 0)
         .with_shuffle_config(ShuffleConfig::bounded(50, 100))
-        .run_combined(
+        .input(&input)
+        .map_reduce_combined(
             "spill.burst",
-            &input,
             |n: &u64, e: &mut Emitter<u64, u64>| {
                 for i in 0..3000u64 {
                     e.emit(i % 997, *n);
@@ -148,6 +153,7 @@ fn burst_emitting_mapper_is_still_bounded() {
                 out.emit((*k, vs.len() as u64, vs.iter().copied().min().unwrap()));
             },
         )
+        .collect_job()
         .unwrap();
     assert!(
         bounded.stats.peak_buffered_records <= 100,
@@ -164,14 +170,15 @@ fn spilled_output_is_deterministic_across_thread_counts() {
     let run = |threads: usize| {
         cluster(16, threads, 0)
             .with_shuffle_config(ShuffleConfig::bounded(20, 40))
-            .run(
+            .input(&input)
+            .map_reduce(
                 "spill.threads",
-                &input,
                 |n: &u64, e: &mut Emitter<u64, u64>| e.emit(n % 97, *n),
                 |k: &u64, vs: Vec<u64>, out: &mut OutputSink<(u64, u64)>| {
                     out.emit((*k, vs.iter().copied().fold(0, u64::wrapping_add)));
                 },
             )
+            .collect_job()
             .unwrap()
             .output
     };
@@ -190,15 +197,16 @@ fn bounded_output_is_identical_across_partition_and_machine_counts() {
         sorted(
             cluster(machines, 4, partitions)
                 .with_shuffle_config(shuffle)
-                .run_combined(
+                .input(&input)
+                .map_reduce_combined(
                     "spill.partitions",
-                    &input,
                     |n: &u64, e: &mut Emitter<u64, u64>| e.emit(n % 211, 1),
                     &Count,
                     |k: &u64, vs: Vec<u64>, out: &mut OutputSink<(u64, u64)>| {
                         out.emit((*k, vs.iter().sum()));
                     },
                 )
+                .collect_job()
                 .unwrap()
                 .output,
         )
@@ -225,9 +233,9 @@ fn spill_dir_is_cleaned_up_after_the_job() {
             spill_dir: Some(PathBuf::from(&base)),
             ..ShuffleConfig::default()
         })
-        .run_combined(
+        .input(&input)
+        .map_reduce_combined(
             "spill.cleanup",
-            &input,
             // Distinct keys: the periodic combine cannot shrink the
             // buffer, so the spill threshold must engage.
             |n: &u64, e: &mut Emitter<u64, u64>| e.emit(*n, 1),
@@ -236,6 +244,7 @@ fn spill_dir_is_cleaned_up_after_the_job() {
                 out.emit((*k, vs.iter().sum()));
             },
         )
+        .collect_job()
         .unwrap();
     assert!(out.stats.spilled_records > 0, "job must actually spill");
     let leftovers: Vec<_> = std::fs::read_dir(&base).unwrap().collect();
@@ -251,9 +260,9 @@ fn worker_panics_still_surface_with_spilling_enabled() {
     let input: Vec<u64> = (0..500).collect();
     let err = cluster(4, 2, 0)
         .with_shuffle_config(ShuffleConfig::bounded(8, 16))
-        .run(
+        .input(&input)
+        .map_reduce(
             "spill.panic",
-            &input,
             |n: &u64, e: &mut Emitter<u64, u64>| {
                 if *n == 300 {
                     panic!("poison record");
@@ -262,6 +271,7 @@ fn worker_panics_still_surface_with_spilling_enabled() {
             },
             |_: &u64, _: Vec<u64>, _: &mut OutputSink<u64>| {},
         )
+        .collect_job()
         .unwrap_err();
     match err {
         JobError::WorkerPanic { phase, message } => {
@@ -282,9 +292,9 @@ fn string_keys_and_values_roundtrip_through_spill_files() {
         sorted(
             cluster(8, 4, 0)
                 .with_shuffle_config(shuffle)
-                .run(
+                .input(&docs)
+                .map_reduce(
                     "spill.strings",
-                    &docs,
                     |doc: &String, e: &mut Emitter<String, String>| {
                         let mut it = doc.split_whitespace();
                         let k = it.next().unwrap().to_owned();
@@ -296,6 +306,7 @@ fn string_keys_and_values_roundtrip_through_spill_files() {
                         out.emit((k.clone(), vs.join(",")));
                     },
                 )
+                .collect_job()
                 .unwrap()
                 .output,
         )

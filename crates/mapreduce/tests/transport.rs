@@ -7,9 +7,11 @@
 
 use std::path::PathBuf;
 
+mod helpers;
+
+use helpers::{CollectJob, Job};
 use tsj_mapreduce::{
-    Cluster, ClusterConfig, Count, Emitter, FaultConfig, JobResult, OutputSink, ShuffleConfig,
-    Transport,
+    Cluster, ClusterConfig, Count, Emitter, FaultConfig, OutputSink, ShuffleConfig, Transport,
 };
 
 fn cluster(machines: usize, threads: usize, partitions: usize, shuffle: ShuffleConfig) -> Cluster {
@@ -28,21 +30,22 @@ fn wordcount_docs(n: usize) -> Vec<String> {
         .collect()
 }
 
-fn wordcount(c: &Cluster, docs: &[String]) -> JobResult<(String, u64)> {
-    c.run_combined(
-        "transport.wordcount",
-        docs,
-        |doc: &String, e: &mut Emitter<String, u64>| {
-            for w in doc.split_whitespace() {
-                e.emit(w.to_owned(), 1);
-            }
-        },
-        &Count,
-        |w: &String, counts: Vec<u64>, out: &mut OutputSink<(String, u64)>| {
-            out.emit((w.clone(), counts.iter().sum()));
-        },
-    )
-    .unwrap()
+fn wordcount(c: &Cluster, docs: &[String]) -> Job<(String, u64)> {
+    c.input(docs)
+        .map_reduce_combined(
+            "transport.wordcount",
+            |doc: &String, e: &mut Emitter<String, u64>| {
+                for w in doc.split_whitespace() {
+                    e.emit(w.to_owned(), 1);
+                }
+            },
+            &Count,
+            |w: &String, counts: Vec<u64>, out: &mut OutputSink<(String, u64)>| {
+                out.emit((w.clone(), counts.iter().sum()));
+            },
+        )
+        .collect_job()
+        .unwrap()
 }
 
 fn sorted<T: Ord>(mut v: Vec<T>) -> Vec<T> {
@@ -139,14 +142,15 @@ fn merge_fan_in_cap_engages_and_preserves_output() {
     let input: Vec<u64> = (0..4000).collect();
     let run = |shuffle: ShuffleConfig| {
         cluster(4, 4, 0, shuffle)
-            .run(
+            .input(&input)
+            .map_reduce(
                 "transport.fanin",
-                &input,
                 |n: &u64, e: &mut Emitter<u64, u64>| e.emit(n % 701, *n),
                 |k: &u64, vs: Vec<u64>, out: &mut OutputSink<(u64, u64)>| {
                     out.emit((*k, vs.iter().copied().fold(0, u64::wrapping_add)));
                 },
             )
+            .collect_job()
             .unwrap()
     };
     let reference = run(ShuffleConfig::unbounded());
@@ -199,9 +203,9 @@ fn uncombined_jobs_cross_the_exchange_too() {
     let input: Vec<u64> = (0..300).collect();
     let run = |shuffle: ShuffleConfig| {
         cluster(16, 4, 5, shuffle)
-            .run(
+            .input(&input)
+            .map_reduce(
                 "transport.nocombiner",
-                &input,
                 |n: &u64, e: &mut Emitter<u64, u64>| {
                     for j in 0..8u64 {
                         e.emit((n * 31 + j) % 97, *n);
@@ -211,6 +215,7 @@ fn uncombined_jobs_cross_the_exchange_too() {
                     out.emit((*k, vs.len() as u64, vs.iter().copied().min().unwrap()));
                 },
             )
+            .collect_job()
             .unwrap()
     };
     let in_proc = run(ShuffleConfig::unbounded());

@@ -3,7 +3,8 @@
 //! The build environment has no access to crates.io, so this in-tree shim
 //! provides the subset of the criterion API the workspace's benches use:
 //! [`Criterion`], [`BenchmarkGroup`], `bench_function`, `iter`,
-//! [`black_box`], and the [`criterion_group!`]/[`criterion_main!`] macros.
+//! `iter_batched` with [`BatchSize`], [`black_box`], and the
+//! [`criterion_group!`]/[`criterion_main!`] macros.
 //!
 //! Measurement model: for each benchmark the closure is warmed up for
 //! `warm_up_time`, then timed batches run until `measurement_time` elapses
@@ -119,7 +120,18 @@ impl BenchmarkGroup<'_> {
     pub fn finish(self) {}
 }
 
-/// Passed to the benchmark closure; [`Bencher::iter`] does the timing.
+/// How many inputs `iter_batched` prepares per batch. The shim always
+/// prepares one input per timed call; the variants exist for source
+/// compatibility with criterion.
+#[derive(Debug, Clone, Copy)]
+pub enum BatchSize {
+    SmallInput,
+    LargeInput,
+    PerIteration,
+}
+
+/// Passed to the benchmark closure; [`Bencher::iter`] and
+/// [`Bencher::iter_batched`] do the timing.
 pub struct Bencher {
     cfg: Criterion,
     /// Measured per-iteration times, filled by `iter`.
@@ -129,17 +141,28 @@ pub struct Bencher {
 impl Bencher {
     /// Times `f`, repeatedly: warm-up, then sampled measurement.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
+        self.iter_batched(|| (), |()| f(), BatchSize::PerIteration);
+    }
+
+    /// Like [`iter`](Self::iter), but every call of `routine` gets a
+    /// fresh input from `setup`, and only `routine` is timed.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
         // Warm-up: run until the warm-up budget is spent.
         let warm_deadline = Instant::now() + self.cfg.warm_up_time;
         while Instant::now() < warm_deadline {
-            black_box(f());
+            black_box(routine(setup()));
         }
         // Measurement: at least `sample_size` samples, stop when the
         // measurement budget is spent.
         let deadline = Instant::now() + self.cfg.measurement_time;
         loop {
+            let input = setup();
             let start = Instant::now();
-            black_box(f());
+            black_box(routine(input));
             self.samples.push(start.elapsed());
             if self.samples.len() >= self.cfg.sample_size && Instant::now() >= deadline {
                 break;
